@@ -38,11 +38,12 @@
 // traces against a running server.
 //
 // With -data-dir, graph state is durable (internal/store): every graph
-// keeps a binary CSR snapshot plus an fsync'd append-only edge-batch
-// WAL under the directory, digest-verified and replayed on boot, so a
+// keeps a WCCM1 snapshot plus an fsync'd append-only edge-batch WAL
+// under the directory, digest-verified and replayed on boot, so a
 // restarted server answers the same queries — same IDs, versions, and
-// chained digests — it did before SIGTERM. Without it, state is
-// in-memory and dies with the process.
+// chained digests — it did before SIGTERM. Solves run straight off the
+// snapshot's mapping, so the adjacency never becomes heap-resident.
+// Without it, state is in-memory and dies with the process.
 //
 // -pprof exposes net/http/pprof on a SEPARATE listener (off by default),
 // so profiling endpoints are never reachable through the service port —
@@ -129,17 +130,12 @@ func run() error {
 		admitQueue  = flag.Int("admission-queue", 0, "requests allowed to wait for an admission slot before shedding with 429 (0 = default max-inflight, negative = shed immediately)")
 		reqTimeout  = flag.Duration("request-timeout", 0, "per-request deadline (0 = default 30s, negative = disabled)")
 		appendRetry = flag.Int("append-retries", 0, "retries with jittered backoff for transient store failures on the append path (0 = default 2, negative = none)")
-		outOfCore   = flag.Int64("out-of-core", 0, "edge count at/above which graphs are snapshotted in the mmap-able WCCM1 format and solved off the mapping instead of materializing (bit-identical results; 0 = disabled; requires -data-dir)")
 		faultSpec   = flag.String("fault-spec", "", "fault-injection spec for the storage filesystem and the replication network, e.g. 'sync:wal.log#3=crash,send:wal#2=torn,conn:list~0.1=eio' (testing only; filesystem sites require -data-dir)")
 		faultSeed   = flag.Uint64("fault-seed", 1, "seed for probabilistic fault-injection rules")
 		replicaOf   = flag.String("replica-of", "", "run as a read-only hot standby of the primary wccserve at this base URL (e.g. http://primary:8080): tail its replication feed, refuse client writes with 421, gate /readyz on replication lag")
 		replLagMax  = flag.Int("repl-lag-max", 0, "versions a replica may trail the primary on any graph before /readyz reports 503 (0 = default 8, negative = never gate)")
 	)
 	flag.Parse()
-
-	if *outOfCore > 0 && *dataDir == "" {
-		return fmt.Errorf("-out-of-core requires -data-dir (mapped snapshots live in the durable store)")
-	}
 
 	// One fault registry serves both seams: filesystem sites (write:/
 	// sync:/...) are injected into the durable store when -data-dir is
@@ -172,7 +168,6 @@ func run() error {
 		MaxGraphs:      *maxGraphs,
 		MaxVersionGap:  *maxVerGap,
 		DataDir:        *dataDir,
-		OutOfCore:      *outOfCore,
 		FS:             fs,
 		MaxInflight:    *maxInflight,
 		AdmissionQueue: *admitQueue,

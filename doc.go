@@ -2,9 +2,7 @@
 // Algorithms for Finding Well-Connected Components in Sparse Graphs"
 // (Assadi, Sun, Weinstein; PODC 2019, arXiv:1805.02974).
 //
-// See README.md for the layout, DESIGN.md for the system inventory and
-// experiment index, and EXPERIMENTS.md for paper-vs-measured results. The
-// public entry points live in internal/core (Theorem 1/4 pipeline and the
+// The public entry points live in internal/core (Theorem 1/4 pipeline and the
 // Corollary 7.1 oblivious variant) and internal/sublinear (Theorem 2);
 // cmd/wccfind, cmd/wccgen, cmd/wccbench, cmd/wccserve, cmd/wccstream
 // and cmd/wccload are the executables.
@@ -78,39 +76,40 @@
 // interface — base snapshots, appended batches, version lineages and
 // their chained digests — with two backends passing one conformance
 // suite: an in-memory map (the default) and a durable disk store
-// (wccserve -data-dir). The durable backend keeps, per graph, a binary
-// CSR snapshot file plus an fsync'd append-only edge-batch WAL, both
+// (wccserve -data-dir). The durable backend keeps, per graph, a WCCM1
+// snapshot file plus an fsync'd append-only edge-batch WAL, both
 // digest-verified and replayed on boot, with background compaction
 // folding WAL batches that outgrow the retained version window into a
 // fresh snapshot; a restarted server answers the same queries (same
 // IDs, versions, chained digests) it did before SIGTERM. Eviction under
-// MaxGraphs pressure is LRU by last access, so hot graphs survive. The
-// snapshot format is the varint-delta binary CSR codec of
-// internal/graph (WriteBinary/ReadBinaryLimit, typically 3-5x smaller
-// than the text edge list and limit-enforced the same way), also
-// available as wccgen/wccfind -format binary. See
-// internal/store/README.md for the on-disk layout and crash-recovery
-// rules.
+// MaxGraphs pressure is LRU by last access, so hot graphs survive.
+// WCCM1 is internal/graph's fixed-width, page-aligned,
+// digest-trailered CSR layout (wccgen -format mapped writes it, wccfind
+// auto-detects it). It costs about 10.5 bytes per edge on disk against
+// 3.6 for the varint-delta WCCB1 codec (WriteBinary/ReadBinaryLimit,
+// which remains the compact CLI file format, wccgen/wccfind -format
+// binary), but a store restart maps it in about a tenth of the time
+// WCCB1 takes to decode. See internal/store/README.md for the on-disk
+// layout and crash-recovery rules.
 //
 // # Out-of-core solving
 //
-// Graphs whose edge count reaches wccserve -out-of-core (or
-// store.Config.MappedThreshold) never become heap-resident: the durable
-// store keeps their snapshots in WCCM1 (internal/graph's fixed-width,
-// page-aligned, digest-trailered CSR layout; wccgen -format mapped
-// writes it, wccfind auto-detects it), memory-maps the file on open
-// through the fault.FS seam (positioned reads when mmap is
-// unavailable), and serves graph.View handles straight off the mapping.
-// View-capable algorithms (today "parallel", via algo.ViewCapable and
-// parallel.ComponentsView) solve through that interface with only the
-// O(n) union-find and label arrays on the heap, so graphs larger than
-// RAM or GOMEMLIMIT load, solve, and serve — bit-identically to the
-// in-RAM path (the labeling contract is metamorphically enforced), and
-// within a few percent of its speed (the SolveNative/SolveMapped pair
-// in BENCH_9.json). Compaction rebases mapped snapshots by streaming
-// merge, mappings are refcounted against eviction races, and the crash
-// sweep runs the whole fault-site table in both snapshot formats. See
-// internal/store/README.md, "Out-of-core snapshots".
+// Durable graphs never become heap-resident: the store memory-maps each
+// snapshot on open through the fault.FS seam (positioned reads when
+// mmap is unavailable) and serves graph.View handles straight off the
+// mapping, with appended batches layered as an in-memory overlay.
+// Every view-capable algorithm (today "parallel", via
+// algo.ViewCapable and parallel.ComponentsView) solves through that
+// interface with only the O(n) union-find and label arrays on the heap,
+// so graphs larger than RAM or GOMEMLIMIT load, solve, and serve —
+// bit-identically to the in-RAM path (the labeling contract is
+// metamorphically enforced) and, by the perfbench per-layer metrics, at
+// 0.99 of its speed (parallel.solve_mapped_edges_per_s ÷
+// parallel.solve_edges_per_s over a real mmap). The incremental engine
+// is seeded from the same view. Compaction rebases snapshots by
+// streaming merge, mappings are refcounted against eviction races, and
+// the crash sweep runs the whole fault-site table, map/unmap included.
+// See internal/store/README.md, "Mapping lifetime".
 //
 // # Execution engine
 //

@@ -134,37 +134,13 @@ func Find(name string, g *graph.Graph, opts Options) (*Result, error) {
 	return a.Find(g, opts)
 }
 
-// IncrementalCapable is the optional capability interface an Algorithm
-// implements when its labelings can be maintained across edge appends via
-// dynamic.MergeLabels instead of a re-solve. Every registered algorithm
-// is exact, so every labeling CAN be fast-forwarded; the flag marks the
-// implementations whose own execution model is incremental (today:
-// "dynamic"). The service's dynamic path uses exact non-incremental
-// solvers as the verification oracle against incremental results, which
-// is exactly what the conformance suite and the end-to-end scenario test
-// exercise.
-type IncrementalCapable interface {
-	Incremental() bool
-}
-
-// Incremental reports whether the named algorithm advertises the
-// incremental capability. Unknown names report false.
-func Incremental(name string) bool {
-	a, err := Get(name)
-	if err != nil {
-		return false
-	}
-	c, ok := a.(IncrementalCapable)
-	return ok && c.Incremental()
-}
-
 // ViewCapable is the optional capability interface an Algorithm
 // implements when it can solve directly over a graph.View — no
 // materialized *Graph, so the adjacency may live out of core (an
 // mmap-backed store snapshot). FindView must return exactly what Find
-// returns on the materialized equivalent, bit for bit; the service's
-// out-of-core path relies on that to swap solve paths by a threshold
-// without changing results. Today: "parallel".
+// returns on the materialized equivalent, bit for bit; the service
+// relies on that to solve every view-capable algorithm over the store's
+// view on both backends without changing results. Today: "parallel".
 type ViewCapable interface {
 	FindView(v graph.View, opts Options) (*Result, error)
 }
@@ -274,8 +250,7 @@ func (sublinearAlgo) Find(g *graph.Graph, opts Options) (*Result, error) {
 // of recomputed.
 type dynamicAlgo struct{}
 
-func (dynamicAlgo) Name() string      { return "dynamic" }
-func (dynamicAlgo) Incremental() bool { return true }
+func (dynamicAlgo) Name() string { return "dynamic" }
 
 func (dynamicAlgo) Find(g *graph.Graph, opts Options) (*Result, error) {
 	e := dynamic.FromGraph(g)

@@ -178,19 +178,3 @@ func TestCanonicalForm(t *testing.T) {
 		t.Fatal("CanonicalForm changed the partition")
 	}
 }
-
-// TestIncrementalCapability pins the registry's capability flag: only
-// "dynamic" advertises incremental maintenance today.
-func TestIncrementalCapability(t *testing.T) {
-	if !Incremental("dynamic") {
-		t.Fatal(`Incremental("dynamic") = false`)
-	}
-	for _, name := range Names() {
-		if name != "dynamic" && Incremental(name) {
-			t.Fatalf("Incremental(%q) = true, want false", name)
-		}
-	}
-	if Incremental("nosuch") {
-		t.Fatal("unknown algorithm must not report incremental")
-	}
-}

@@ -8,15 +8,10 @@ import (
 
 // TestParallelRegistered pins the native solver's registry presence (the
 // conformance suite iterates Names(), so registration is what drops it
-// into the metamorphic checks) and that it does not advertise the
-// incremental capability — the service's append path must not try to
-// maintain its labelings through the dynamic engine's merge log.
+// into the metamorphic checks).
 func TestParallelRegistered(t *testing.T) {
 	if _, err := Get("parallel"); err != nil {
 		t.Fatal(err)
-	}
-	if Incremental("parallel") {
-		t.Fatal(`"parallel" must not advertise the incremental capability`)
 	}
 }
 

@@ -49,13 +49,15 @@ func New(n int) *Engine {
 	return &Engine{uf: graph.NewUnionFind(n)}
 }
 
-// FromGraph seeds an engine with g's edges as version 0 — the base
-// snapshot of a versioned graph. The base merges are not recorded in the
-// history; History tracks the appended deltas.
-func FromGraph(g *graph.Graph) *Engine {
-	e := New(g.N())
-	g.ForEachEdge(func(edge graph.Edge) { e.uf.Union(edge.U, edge.V) })
-	e.edges = g.M()
+// FromGraph seeds an engine with v's edges as version 0 — the base
+// snapshot of a versioned graph. v may be an in-RAM *Graph or a view
+// served off a mapped store snapshot: the edges are streamed through
+// graph.ForEachEdgeView, so seeding never builds a CSR. The base merges
+// are not recorded in the history; History tracks the appended deltas.
+func FromGraph(v graph.View) *Engine {
+	e := New(v.NumVertices())
+	graph.ForEachEdgeView(v, func(edge graph.Edge) { e.uf.Union(edge.U, edge.V) })
+	e.edges = v.NumEdges()
 	return e
 }
 

@@ -1,7 +1,9 @@
 package dynamic
 
 import (
+	"bytes"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -168,5 +170,68 @@ func TestMergeLabelsRejectsBadInput(t *testing.T) {
 	}
 	if _, _, err := MergeLabels([]graph.Vertex{0, 7}, 2, []graph.Edge{{U: 0, V: 1}}, 2); err == nil {
 		t.Fatalf("corrupt label must fail")
+	}
+}
+
+// TestFromGraphMappedViewMatchesMaterialized: seeding from a view of a
+// mapped WCCM1 snapshot (and from an Overlay of appended edges on it,
+// the shape a durable graph's tip has) must give the engine exactly the
+// state seeding from the materialized CSR gives — same labels, and the
+// same labels, merge counts, history and MergeLabels results over every
+// later batch.
+func TestFromGraphMappedViewMatchesMaterialized(t *testing.T) {
+	rng := rand.New(rand.NewPCG(21, 4))
+	const n = 300
+	randomEdges := func(k, n int) []graph.Edge {
+		out := make([]graph.Edge, k)
+		for i := range out {
+			out[i] = graph.Edge{U: graph.Vertex(rng.IntN(n)), V: graph.Vertex(rng.IntN(n))}
+		}
+		return out
+	}
+	var buf bytes.Buffer
+	if err := graph.WriteMapped(&buf, graph.FromEdges(n, randomEdges(n/2, n))); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := graph.OpenMappedSource(graph.NewBytesSource(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := map[string]graph.View{
+		"mapped":  mapped,
+		"overlay": graph.NewOverlay(mapped, n+5, randomEdges(40, n+5)),
+	}
+	for name, view := range views {
+		t.Run(name, func(t *testing.T) {
+			fromView, fromCSR := FromGraph(view), FromGraph(graph.MaterializeView(view))
+			if fromView.Edges() != fromCSR.Edges() || !slices.Equal(fromView.Labels(), fromCSR.Labels()) {
+				t.Fatal("seeded engines differ")
+			}
+			// Each engine's base labeling is then fast-forwarded by
+			// MergeLabels, as the service does with cached labelings.
+			labelsV, countV := fromView.Labels(), fromView.Components()
+			labelsC, countC := fromCSR.Labels(), fromCSR.Components()
+			curN := view.NumVertices()
+			for b := 0; b < 10; b++ {
+				grow := rng.IntN(3)
+				curN += grow
+				batch := randomEdges(6, curN)
+				if mv, mc := fromView.Apply(batch, grow), fromCSR.Apply(batch, grow); mv != mc {
+					t.Fatalf("batch %d: %d merges from the view seed, %d from the CSR seed", b, mv, mc)
+				}
+				if !slices.Equal(fromView.Labels(), fromCSR.Labels()) || !slices.Equal(fromView.History(), fromCSR.History()) {
+					t.Fatalf("batch %d: engines diverged", b)
+				}
+				if labelsV, countV, err = MergeLabels(labelsV, countV, batch, curN); err != nil {
+					t.Fatal(err)
+				}
+				if labelsC, countC, err = MergeLabels(labelsC, countC, batch, curN); err != nil {
+					t.Fatal(err)
+				}
+				if countV != countC || countV != fromView.Components() || !slices.Equal(labelsV, labelsC) || !slices.Equal(labelsV, fromView.Labels()) {
+					t.Fatalf("batch %d: MergeLabels results differ (%d vs %d components, engine says %d)", b, countV, countC, fromView.Components())
+				}
+			}
+		})
 	}
 }

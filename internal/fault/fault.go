@@ -18,7 +18,7 @@
 //
 //   - A failpoint Registry: every operation the injected FS (Inject)
 //     performs first consults the registry under a named site —
-//     "<op>:<file>", e.g. "sync:wal.log" or "rename:snapshot.bin" —
+//     "<op>:<file>", e.g. "sync:wal.log" or "rename:snapshot.map" —
 //     which can answer with an injected error (ENOSPC, EIO), a torn
 //     write (a prefix of the data lands, then the write fails), a
 //     stall (the operation blocks, then proceeds), or a simulated

@@ -89,10 +89,9 @@ func TestSnapshotTransferSurvivesConcurrentEviction(t *testing.T) {
 	plb := &logBuf{}
 	popt := fastOpts(plb)
 	popt.Registry = preg
-	// Durable store with mapped snapshots (OutOfCore: 1 puts every graph
-	// past the mapped threshold), so eviction really unlinks files and
-	// the pin really is what keeps the mapping.
-	psvc, _, srv := newPrimary(t, service.Config{DataDir: t.TempDir(), OutOfCore: 1, MaxGraphs: 1}, popt)
+	// Durable store (every snapshot is a mapping), so eviction really
+	// unlinks files and the pin really is what keeps the mapping.
+	psvc, _, srv := newPrimary(t, service.Config{DataDir: t.TempDir(), MaxGraphs: 1}, popt)
 	sg := loadGraph(t, psvc, "pinned", pathEdgeList)
 
 	var (

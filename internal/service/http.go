@@ -780,7 +780,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		"edgeBatches":       c.EdgeBatches,
 		"edgesAppended":     c.EdgesAppended,
 		"incrementalMerges": c.IncrementalMerges,
-		"mappedSolves":      c.MappedSolves,
 		"cachedLabelings":   cachedLabelings,
 		"graphs":            s.GraphCount(),
 		// Per-shard cache occupancy: a single hot stripe means the key
@@ -815,7 +814,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 			"cacheEntries":   s.cache.capacity(),
 			"jobHistory":     cfg.JobHistory,
 			"maxVersionGap":  cfg.MaxVersionGap,
-			"outOfCore":      cfg.OutOfCore,
 			"queueDepth":     cfg.QueueDepth,
 			"jobWorkers":     cfg.JobWorkers,
 			"maxInflight":    cfg.MaxInflight,

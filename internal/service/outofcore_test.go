@@ -1,85 +1,87 @@
 package service
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
-// openOOC opens a durable service with the out-of-core threshold at 1,
-// so every solve of a view-capable algorithm reroutes through the
-// store's mapped view instead of materializing.
-func openOOC(t *testing.T, outOfCore int64) *Service {
+// newDurableService opens a service on the durable backend, whose
+// every snapshot is a WCCM1 mapping: view-capable solves run off the
+// mapped pages instead of a materialized CSR.
+func newDurableService(t *testing.T) *Service {
 	t.Helper()
-	s, err := Open(Config{
-		JobWorkers: 1, CacheEntries: 4,
-		DataDir:   t.TempDir(),
-		OutOfCore: outOfCore,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openDurable(t, t.TempDir())
 	t.Cleanup(s.Close)
 	return s
 }
 
 // TestOutOfCoreSolveMatchesInRAM is the service-level bit-equality
-// contract: the rerouted mapped solve must produce the same labeling
-// (same component structure, same canonical labels observable through
-// every query) as the materialized solve, and must be counted.
+// contract between the backends: the durable one solves off the
+// snapshot mapping (an Overlay of it after appends), the memory one
+// off the resident CSR, and both must produce the identical labeling —
+// same labels, sizes and histogram — for the base version and for a
+// post-append version, with and without a view path.
 func TestOutOfCoreSolveMatchesInRAM(t *testing.T) {
-	ooc := openOOC(t, 1)
-	ram := newTestService(t)
-
-	sgO, err := ooc.Load("g", strings.NewReader(twoComponents))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sgR, err := ram.Load("g", strings.NewReader(twoComponents))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	spec := SolveSpec{GraphID: sgO.ID, Algo: "parallel", Seed: 7}
-	lo, err := ooc.Solve(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.GraphID = sgR.ID
-	lr, err := ram.Solve(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo.Components != lr.Components {
-		t.Fatalf("out-of-core found %d components, in-RAM %d", lo.Components, lr.Components)
-	}
-	for u := graph.Vertex(0); u < 10; u++ {
-		co, err := lo.ComponentOf(u)
+	spec := gen.Spec{Family: "union", Sizes: []int{40, 30, 20, 12}, D: 4, Seed: 5}
+	batch := []graph.Edge{{U: 0, V: 50}, {U: 70, V: 101}, {U: 2, V: 2}}
+	var got [2][]*Labeling
+	var wantTip int
+	for i, s := range []*Service{newDurableService(t), newTestService(t)} {
+		sg, err := s.Generate("u", spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cr, err := lr.ComponentOf(u)
+		if _, err := s.Append(sg.ID, batch, false); err != nil {
+			t.Fatal(err)
+		}
+		// Tip first: solved after version 0, the tip would be a
+		// fast-forward of the version-0 labeling instead of a solve.
+		for _, solve := range []SolveSpec{
+			{GraphID: sg.ID, Version: -1, Algo: "parallel"},
+			{GraphID: sg.ID, Version: 0, Algo: "parallel"},
+			{GraphID: sg.ID, Version: 0, Algo: "hashtomin"},
+		} {
+			l, err := s.Solve(solve)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = append(got[i], l)
+		}
+		if n := s.Counters().Solves; n != 3 {
+			t.Fatalf("%d solves ran, want 3 (one per labeling compared)", n)
+		}
+		tip, err := sg.Graph()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if co != cr {
-			t.Fatalf("vertex %d: out-of-core label %d, in-RAM label %d", u, co, cr)
+		_, wantTip = graph.Components(tip)
+	}
+	for k, durable := range got[0] {
+		mem := got[1][k]
+		if durable.Version != mem.Version || durable.Algo != mem.Algo {
+			t.Fatalf("labeling %d: durable %s@%d vs memory %s@%d", k, durable.Algo, durable.Version, mem.Algo, mem.Version)
+		}
+		if durable.Components != mem.Components ||
+			!slices.Equal(durable.labels, mem.labels) ||
+			!slices.Equal(durable.sizes, mem.sizes) ||
+			!slices.Equal(durable.hist, mem.hist) {
+			t.Fatalf("%s@%d: durable backend labeling differs from the memory backend's (%d vs %d components)",
+				durable.Algo, durable.Version, durable.Components, mem.Components)
 		}
 	}
-	if got := ooc.Counters().MappedSolves; got != 1 {
-		t.Fatalf("MappedSolves = %d, want 1", got)
-	}
-	if got := ram.Counters().MappedSolves; got != 0 {
-		t.Fatalf("in-RAM service counted %d mapped solves", got)
+	if tip := got[0][0]; tip.Components != wantTip {
+		t.Fatalf("appended version solved to %d components, BFS finds %d", tip.Components, wantTip)
 	}
 }
 
-// TestOutOfCoreSolveLatestVersion: the reroute must also serve
-// post-append versions (an Overlay over the mapped base), identically
-// to the materialized path.
+// TestOutOfCoreSolveLatestVersion: the durable solve must also serve
+// post-append versions (an Overlay over the mapped base).
 func TestOutOfCoreSolveLatestVersion(t *testing.T) {
-	s := openOOC(t, 1)
+	s := newDurableService(t)
 	sg, err := s.Load("g", strings.NewReader(twoComponents))
 	if err != nil {
 		t.Fatal(err)
@@ -100,18 +102,14 @@ func TestOutOfCoreSolveLatestVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !same {
-		t.Fatal("appended bridge not visible to the out-of-core solve")
-	}
-	if got := s.Counters().MappedSolves; got != 1 {
-		t.Fatalf("MappedSolves = %d, want 1", got)
+		t.Fatal("appended bridge not visible to the mapped solve")
 	}
 }
 
 // TestOutOfCoreNonViewAlgo: algorithms without a view path must keep
-// working under the threshold — they materialize as before and are not
-// counted as mapped solves.
+// working on the durable backend — they materialize as before.
 func TestOutOfCoreNonViewAlgo(t *testing.T) {
-	s := openOOC(t, 1)
+	s := newDurableService(t)
 	sg, err := s.Load("g", strings.NewReader(twoComponents))
 	if err != nil {
 		t.Fatal(err)
@@ -121,25 +119,6 @@ func TestOutOfCoreNonViewAlgo(t *testing.T) {
 		t.Fatal(err)
 	}
 	if l.Components != 2 {
-		t.Fatalf("wcc under OutOfCore found %d components, want 2", l.Components)
-	}
-	if got := s.Counters().MappedSolves; got != 0 {
-		t.Fatalf("MappedSolves = %d for a non-view algorithm, want 0", got)
-	}
-}
-
-// TestOutOfCoreThresholdGates: below the threshold the solve path stays
-// materialized even with the feature on.
-func TestOutOfCoreThresholdGates(t *testing.T) {
-	s := openOOC(t, 1_000_000)
-	sg, err := s.Load("g", strings.NewReader(twoComponents))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Solve(SolveSpec{GraphID: sg.ID, Algo: "parallel", Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Counters().MappedSolves; got != 0 {
-		t.Fatalf("MappedSolves = %d below the threshold, want 0", got)
+		t.Fatalf("wcc on the durable backend found %d components, want 2", l.Components)
 	}
 }

@@ -142,20 +142,14 @@ type Config struct {
 	// window cannot be delta-merged anymore — queries report not-solved
 	// and the client re-solves through the registry instead (default 64).
 	MaxVersionGap int
-	// DataDir selects the durable storage backend: per-graph binary CSR
+	// DataDir selects the durable storage backend: per-graph WCCM1
 	// snapshot plus an fsync'd edge-batch WAL under this directory,
-	// digest-verified and replayed on Open (see internal/store). Empty
-	// selects the in-memory backend — nothing survives a restart.
+	// digest-verified and replayed on Open (see internal/store). Solves
+	// of view-capable algorithms then run straight off the snapshot's
+	// mapping, so graphs larger than RAM (or GOMEMLIMIT) load and
+	// solve. Empty selects the in-memory backend — nothing survives a
+	// restart.
 	DataDir string
-	// OutOfCore is the edge count at or above which solving goes out of
-	// core: the durable store keeps such graphs' snapshots in the
-	// mmap-able WCCM1 format (store.Config.MappedThreshold) and
-	// view-capable algorithms solve straight off the mapping — the
-	// adjacency never becomes heap-resident, so graphs larger than RAM
-	// (or GOMEMLIMIT) load and solve. Results are bit-identical to the
-	// in-RAM path; algorithms without a view path still materialize.
-	// Zero or negative disables (the default). Requires DataDir.
-	OutOfCore int64
 	// FS is the filesystem seam handed to the durable store (nil = the
 	// real filesystem). wccserve -fault-spec and the chaos tests pass a
 	// fault.Inject-wrapped one; see internal/fault.
@@ -261,10 +255,9 @@ func (c Config) withDefaults() Config {
 // storeConfig maps the service policy onto the storage engine's knobs.
 func (c Config) storeConfig() store.Config {
 	return store.Config{
-		MaxGraphs:       c.MaxGraphs,
-		RetainVersions:  c.MaxVersionGap + 1,
-		MappedThreshold: c.OutOfCore,
-		FS:              c.FS,
+		MaxGraphs:      c.MaxGraphs,
+		RetainVersions: c.MaxVersionGap + 1,
+		FS:             c.FS,
 	}
 }
 
@@ -351,9 +344,6 @@ type Counters struct {
 	EdgeBatches       int64
 	EdgesAppended     int64
 	IncrementalMerges int64
-	// MappedSolves counts solves that ran over a store view (the
-	// out-of-core path) instead of a materialized graph.
-	MappedSolves int64
 	// PanicsRecovered counts handler panics the recovery middleware
 	// turned into 500s; AdmissionRejected counts requests shed with 429;
 	// StoreRetries counts transient storage failures the append path
@@ -475,7 +465,6 @@ type Service struct {
 		jobsFailed, batchQueries         atomic.Int64
 		edgeBatches, edgesAppended       atomic.Int64
 		incrementalMerges                atomic.Int64
-		mappedSolves                     atomic.Int64
 		panicsRecovered, storeRetries    atomic.Int64
 		admissionRejected                atomic.Int64
 		degradedEvents                   atomic.Int64
@@ -696,7 +685,6 @@ func (s *Service) Counters() Counters {
 		EdgeBatches:       s.counters.edgeBatches.Load(),
 		EdgesAppended:     s.counters.edgesAppended.Load(),
 		IncrementalMerges: s.counters.incrementalMerges.Load(),
-		MappedSolves:      s.counters.mappedSolves.Load(),
 		PanicsRecovered:   s.counters.panicsRecovered.Load(),
 		AdmissionRejected: s.counters.admissionRejected.Load(),
 		StoreRetries:      s.counters.storeRetries.Load(),
@@ -1113,29 +1101,7 @@ func (s *Service) solve(spec SolveSpec) (*Labeling, bool, error) {
 	opts := algo.Options{
 		Lambda: spec.Lambda, Seed: spec.Seed, Workers: workers, Memory: spec.Memory,
 	}
-	var res *algo.Result
-	if va, viewable := a.(algo.ViewCapable); viewable && s.cfg.OutOfCore > 0 && int64(ref.info.M) >= s.cfg.OutOfCore {
-		// Out-of-core path: solve over the store's view — for a mapped
-		// snapshot that is the file's own pages, pinned until release —
-		// instead of materializing the CSR on the heap. Bit-identical
-		// results are the ViewCapable contract, so the cache entry is
-		// interchangeable with the in-RAM path's.
-		view, release, verr := s.st.View(sg.ID, ref.info.Version)
-		if verr != nil {
-			return nil, false, fmt.Errorf("service: graph %s version %d no longer retained: %w", sg.ID, ref.info.Version, ErrNotFound)
-		}
-		res, err = va.FindView(view, opts)
-		release()
-		if err == nil {
-			s.counters.mappedSolves.Add(1)
-		}
-	} else {
-		snapshot := sg.Snapshot(ref.info.Version)
-		if snapshot == nil {
-			return nil, false, fmt.Errorf("service: graph %s version %d no longer retained: %w", sg.ID, ref.info.Version, ErrNotFound)
-		}
-		res, err = a.Find(snapshot, opts)
-	}
+	res, err := s.find(a, sg, ref.info.Version, opts)
 	if err != nil {
 		return nil, false, err
 	}
@@ -1165,6 +1131,24 @@ func (s *Service) solve(spec SolveSpec) (*Labeling, bool, error) {
 	}
 	s.cache.put(l)
 	return l, false, nil
+}
+
+// find runs one algorithm on one retained version. Every view-capable
+// algorithm solves over the store's view: on the durable backend that
+// is the snapshot's mapped pages (pinned until release) with appended
+// batches as an overlay, so the adjacency never becomes heap-resident;
+// on the memory backend it is the resident CSR. Only algorithms
+// without a view path materialize.
+func (s *Service) find(a algo.Algorithm, sg *StoredGraph, version int, opts algo.Options) (*algo.Result, error) {
+	if va, ok := a.(algo.ViewCapable); ok {
+		if view, release, err := s.st.View(sg.ID, version); err == nil {
+			defer release()
+			return va.FindView(view, opts)
+		}
+	} else if snapshot := sg.Snapshot(version); snapshot != nil {
+		return a.Find(snapshot, opts)
+	}
+	return nil, fmt.Errorf("service: graph %s version %d no longer retained: %w", sg.ID, version, ErrNotFound)
 }
 
 // errNotSolved marks queries against labelings that are not cached; the

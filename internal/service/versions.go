@@ -159,18 +159,20 @@ func (sg *StoredGraph) Snapshot(version int) *graph.Graph {
 }
 
 // ensureEngineLocked (re)builds the incremental engine from the store's
-// latest materialization. Handles start engineless — after a restart or
-// an eviction/reload cycle — and pay the O(mα) seed once, on the first
-// append. Callers hold sg.mu.
+// view of the latest version — on the durable backend the snapshot's
+// mapped pages, so seeding never builds (or pins) a heap CSR. Handles
+// start engineless — after a restart or an eviction/reload cycle — and
+// pay the O(mα) seed once, on the first append. Callers hold sg.mu.
 func (sg *StoredGraph) ensureEngineLocked(latest VersionInfo) error {
 	if sg.eng != nil {
 		return nil
 	}
-	g, err := sg.svc.st.Materialize(sg.ID, latest.Version)
+	v, release, err := sg.svc.st.View(sg.ID, latest.Version)
 	if err != nil {
 		return err
 	}
-	sg.eng = dynamic.FromGraph(g)
+	sg.eng = dynamic.FromGraph(v)
+	release()
 	return nil
 }
 

@@ -10,8 +10,10 @@ import (
 // The conformance suite: every Store backend must pass the exact same
 // behavioral checks. TestMemoryConformance and TestDiskConformance run
 // it against both implementations; the service layer relies on the two
-// being interchangeable.
-func runConformance(t *testing.T, open func(t *testing.T, cfg Config) Store) {
+// being interchangeable. reopen simulates a restart: the disk backend
+// closes and reopens on the same directory, the memory backend (which
+// has nothing to reload) hands the store back unchanged.
+func runConformance(t *testing.T, open func(t *testing.T, cfg Config) Store, reopen func(t *testing.T, s Store) Store) {
 	t.Run("PutGetList", func(t *testing.T) { testPutGetList(t, open(t, Config{})) })
 	t.Run("LRUEviction", func(t *testing.T) { testLRUEviction(t, open(t, Config{MaxGraphs: 2})) })
 	t.Run("AppendLineage", func(t *testing.T) { testAppendLineage(t, open(t, Config{})) })
@@ -20,6 +22,9 @@ func runConformance(t *testing.T, open func(t *testing.T, cfg Config) Store) {
 	t.Run("Evict", func(t *testing.T) { testEvict(t, open(t, Config{})) })
 	t.Run("Tail", func(t *testing.T) { testTail(t, open(t, Config{})) })
 	t.Run("TailWindow", func(t *testing.T) { testTailWindow(t, open(t, Config{RetainVersions: 3, SyncCompaction: true})) })
+	t.Run("Edgeless", func(t *testing.T) {
+		testEdgeless(t, open(t, Config{RetainVersions: 3, SyncCompaction: true}), reopen)
+	})
 }
 
 func TestMemoryConformance(t *testing.T) {
@@ -27,18 +32,35 @@ func TestMemoryConformance(t *testing.T) {
 		s := NewMemory(cfg)
 		t.Cleanup(func() { s.Close() })
 		return s
-	})
+	}, func(t *testing.T, s Store) Store { return s })
 }
 
 func TestDiskConformance(t *testing.T) {
 	runConformance(t, func(t *testing.T, cfg Config) Store {
-		s, err := Open(t.TempDir(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		return s
-	})
+		return openDiskCleanup(t, t.TempDir(), cfg)
+	}, reopenDisk)
+}
+
+// openDiskCleanup opens a disk store that the test closes on cleanup.
+func openDiskCleanup(t *testing.T, dir string, cfg Config) Store {
+	t.Helper()
+	s, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// reopenDisk closes a disk store and reopens its directory with the
+// same configuration — a clean restart.
+func reopenDisk(t *testing.T, s Store) Store {
+	t.Helper()
+	d := s.(*Disk)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return openDiskCleanup(t, d.dir, d.cfg)
 }
 
 // line builds a path graph on n vertices.
@@ -356,4 +378,75 @@ func testTailWindow(t *testing.T, s Store) {
 	if _, err := s.Tail(m.ID, oldest-1); err == nil {
 		t.Error("Tail from before the retained window succeeded")
 	}
+}
+
+// testEdgeless runs an edgeless graph (n=5, m=0) through the whole
+// record life: Put, reopen, a vertex-growing append, appends past the
+// retained window (compaction on the disk backend), and a second
+// reopen. Every version must come back with the right shape and the
+// digest of an independently built graph.
+func testEdgeless(t *testing.T, s Store, reopen func(t *testing.T, s Store) Store) {
+	g := graph.NewBuilder(5).Build()
+	digest := DigestGraph(g)
+	meta := Meta{ID: "g-" + digest[:12], Name: "edgeless", Digest: digest, N: 5, M: 0}
+	v0 := Version{Version: 0, Digest: digest, N: 5, M: 0, Components: 5}
+	if _, err := s.Put(meta, g, v0); err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, version int, want *graph.Graph) {
+		t.Helper()
+		got, err := s.Materialize(meta.ID, version)
+		if err != nil {
+			t.Fatalf("%s: materialize %d: %v", label, version, err)
+		}
+		if got.N() != want.N() || got.M() != want.M() || DigestGraph(got) != DigestGraph(want) {
+			t.Fatalf("%s: version %d is n=%d m=%d, want n=%d m=%d", label, version, got.N(), got.M(), want.N(), want.M())
+		}
+		v, release, err := s.View(meta.ID, version)
+		if err != nil {
+			t.Fatalf("%s: view %d: %v", label, version, err)
+		}
+		defer release()
+		if DigestView(v) != DigestGraph(want) {
+			t.Fatalf("%s: view of version %d differs from the built graph", label, version)
+		}
+	}
+	check("put", 0, g)
+	s = reopen(t, s)
+	if got, ok := s.Get(meta.ID); !ok || got != meta {
+		t.Fatalf("reopened Get = %+v, %v", got, ok)
+	}
+	check("reopen", 0, g)
+
+	// Grow the vertex set to 7, then cross RetainVersions=3.
+	batches := [][]graph.Edge{{{U: 0, V: 6}}, {{U: 1, V: 2}}, {{U: 3, V: 4}}, {{U: 5, V: 6}}}
+	prev := v0
+	b := graph.NewBuilder(7)
+	for _, batch := range batches {
+		v := Version{
+			Version:  prev.Version + 1,
+			Digest:   ChainDigest(prev.Digest, 7, batch),
+			N:        7,
+			M:        prev.M + len(batch),
+			Appended: len(batch),
+		}
+		if err := s.Append(meta.ID, batch, v); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range batch {
+			b.AddEdge(e.U, e.V)
+		}
+		prev = v
+	}
+	want := b.Build()
+	vers, err := s.Versions(meta.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vers[0].Version == 0 || vers[len(vers)-1] != prev {
+		t.Fatalf("window %+v, want it trimmed past version 0 and ending at %+v", vers, prev)
+	}
+	check("appended", prev.Version, want)
+	s = reopen(t, s)
+	check("reopen after compaction", prev.Version, want)
 }

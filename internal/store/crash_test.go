@@ -82,24 +82,17 @@ func sweepID() string {
 	return "g-" + DigestGraph(line(sweepN))[:12]
 }
 
-// sweepConfig builds the sweep's store config; mapped selects the
-// out-of-core WCCM1 snapshot path (threshold 1 = every graph), which
-// reroutes the snapshot write/rename and adds the map/unmap sites to
-// the swept surface.
-func sweepConfig(fs fault.FS, mapped bool) Config {
-	cfg := Config{RetainVersions: 3, SyncCompaction: true, FS: fs}
-	if mapped {
-		cfg.MappedThreshold = 1
-	}
-	return cfg
+// sweepConfig builds the sweep's store config.
+func sweepConfig(fs fault.FS) Config {
+	return Config{RetainVersions: 3, SyncCompaction: true, FS: fs}
 }
 
 // runCrashScenario executes the workload on dir through fs, stopping at
 // the first error (under a crash latch everything after the first
 // failure fails too). It reports whether the Put was acknowledged and
 // how many appends were.
-func runCrashScenario(dir string, fs fault.FS, mapped bool) (putOK bool, acked int) {
-	s, err := Open(dir, sweepConfig(fs, mapped))
+func runCrashScenario(dir string, fs fault.FS) (putOK bool, acked int) {
+	s, err := Open(dir, sweepConfig(fs))
 	if err != nil {
 		return false, 0
 	}
@@ -125,9 +118,9 @@ func runCrashScenario(dir string, fs fault.FS, mapped bool) (putOK bool, acked i
 // version's metadata matches byte for byte, the materialized graph
 // matches the independently reconstructed edge set, and the store
 // accepts a fresh append afterwards.
-func verifyRecovery(t *testing.T, dir, label string, putOK bool, acked int, mapped bool) {
+func verifyRecovery(t *testing.T, dir, label string, putOK bool, acked int) {
 	t.Helper()
-	s, err := Open(dir, sweepConfig(nil, mapped))
+	s, err := Open(dir, sweepConfig(nil))
 	if err != nil {
 		t.Fatalf("%s: clean reopen failed: %v", label, err)
 	}
@@ -181,62 +174,47 @@ func verifyRecovery(t *testing.T, dir, label string, putOK bool, acked int, mapp
 }
 
 // TestCrashPointSweep kills the store at every filesystem operation the
-// workload performs — once per (site, hit) pair, plus a torn-write
-// variant for every write site — and asserts digest-verified recovery
-// after each. This is the chaos proof behind the failure-model table in
+// workload performs (snapshot write and rename, the map/unmap seam, WAL
+// append and fsync, both compaction renames) once per (site, hit) pair,
+// plus a torn-write variant for every write site, and asserts
+// digest-verified recovery after each. This is the chaos proof behind the failure-model table in
 // README.md.
 func TestCrashPointSweep(t *testing.T) {
-	// Both snapshot formats run the full sweep: binary covers the WCCB1
-	// snapshot path, mapped the WCCM1 path plus the map/unmap seam.
-	modes := []struct {
-		name    string
-		mapped  bool
-		mustHit []string
-	}{
-		{"binary", false, []string{"write:wal.log", "sync:wal.log", "rename:snapshot.bin", "rename:wal.log", "syncdir"}},
-		{"mapped", true, []string{"write:wal.log", "sync:wal.log", "rename:snapshot.map", "rename:wal.log", "syncdir", "map:snapshot.map", "unmap:snapshot.map"}},
+	// Record pass: enumerate the workload's fault sites.
+	rec := fault.NewRegistry(1)
+	recDir := filepath.Join(t.TempDir(), "data")
+	putOK, acked := runCrashScenario(recDir, fault.Inject(fault.OS{}, rec))
+	if !putOK || acked != len(sweepBatches()) {
+		t.Fatalf("record pass failed: putOK=%v acked=%d", putOK, acked)
 	}
-	for _, mode := range modes {
-		mode := mode
-		t.Run(mode.name, func(t *testing.T) {
-			// Record pass: enumerate the workload's fault sites.
-			rec := fault.NewRegistry(1)
-			recDir := filepath.Join(t.TempDir(), "data")
-			putOK, acked := runCrashScenario(recDir, fault.Inject(fault.OS{}, rec), mode.mapped)
-			if !putOK || acked != len(sweepBatches()) {
-				t.Fatalf("record pass failed: putOK=%v acked=%d", putOK, acked)
-			}
-			verifyRecovery(t, recDir, "record pass", putOK, acked, mode.mapped)
-			hits := rec.Hits()
-			// The sweep is only meaningful if the workload actually crossed
-			// the append fsync path and both compaction renames (and, in
-			// mapped mode, the mapping seam).
-			for _, must := range mode.mustHit {
-				if hits[must] == 0 {
-					t.Fatalf("workload never hit site %s — the sweep would not cover it", must)
-				}
-			}
-			points := 0
-			for _, site := range rec.Sites() {
-				for hit := 1; hit <= hits[site]; hit++ {
-					kinds := []fault.Kind{fault.KindCrash}
-					if strings.HasPrefix(site, "write:") {
-						kinds = append(kinds, fault.KindTorn)
-					}
-					for _, kind := range kinds {
-						points++
-						label := fmt.Sprintf("%s#%d=%s", site, hit, kind)
-						reg := fault.NewRegistry(uint64(points))
-						reg.Add(fault.Rule{Site: site, Hit: hit, Kind: kind})
-						dir := filepath.Join(t.TempDir(), "data")
-						putOK, acked := runCrashScenario(dir, fault.Inject(fault.OS{}, reg), mode.mapped)
-						verifyRecovery(t, dir, label, putOK, acked, mode.mapped)
-					}
-				}
-			}
-			t.Logf("swept %d crash points across %d sites", points, len(rec.Sites()))
-		})
+	verifyRecovery(t, recDir, "record pass", putOK, acked)
+	hits := rec.Hits()
+	// The sweep is only meaningful if the workload actually crossed the
+	// append fsync path, both compaction renames, and the mapping seam.
+	for _, must := range []string{"write:wal.log", "sync:wal.log", "rename:snapshot.map", "rename:wal.log", "syncdir", "map:snapshot.map", "unmap:snapshot.map"} {
+		if hits[must] == 0 {
+			t.Fatalf("workload never hit site %s — the sweep would not cover it", must)
+		}
 	}
+	points := 0
+	for _, site := range rec.Sites() {
+		for hit := 1; hit <= hits[site]; hit++ {
+			kinds := []fault.Kind{fault.KindCrash}
+			if strings.HasPrefix(site, "write:") {
+				kinds = append(kinds, fault.KindTorn)
+			}
+			for _, kind := range kinds {
+				points++
+				label := fmt.Sprintf("%s#%d=%s", site, hit, kind)
+				reg := fault.NewRegistry(uint64(points))
+				reg.Add(fault.Rule{Site: site, Hit: hit, Kind: kind})
+				dir := filepath.Join(t.TempDir(), "data")
+				putOK, acked := runCrashScenario(dir, fault.Inject(fault.OS{}, reg))
+				verifyRecovery(t, dir, label, putOK, acked)
+			}
+		}
+	}
+	t.Logf("swept %d crash points across %d sites", points, len(rec.Sites()))
 }
 
 // TestCrashDuringRecoveryTruncate covers the one durable write the
@@ -250,21 +228,21 @@ func TestCrashDuringRecoveryTruncate(t *testing.T) {
 	// hit 3 tears append #2 mid-record.
 	reg := fault.NewRegistry(1)
 	reg.Add(fault.Rule{Site: "write:wal.log", Hit: 3, Kind: fault.KindTorn})
-	putOK, acked := runCrashScenario(dir, fault.Inject(fault.OS{}, reg), false)
+	putOK, acked := runCrashScenario(dir, fault.Inject(fault.OS{}, reg))
 	if !putOK || acked != 1 {
 		t.Fatalf("setup: putOK=%v acked=%d, want torn second append after 1 ack", putOK, acked)
 	}
 	// First recovery attempt dies at the truncate.
 	crashReg := fault.NewRegistry(2)
 	crashReg.Add(fault.Rule{Site: "truncate:wal.log", Kind: fault.KindCrash})
-	if _, err := Open(dir, sweepConfig(fault.Inject(fault.OS{}, crashReg), false)); err == nil {
+	if _, err := Open(dir, sweepConfig(fault.Inject(fault.OS{}, crashReg))); err == nil {
 		t.Fatal("reopen with a crashed truncate unexpectedly succeeded")
 	}
 	if !crashReg.Crashed() {
 		t.Fatal("recovery never reached truncate:wal.log")
 	}
 	// Second recovery, clean filesystem: full verification.
-	verifyRecovery(t, dir, "post-truncate-crash", putOK, acked, false)
+	verifyRecovery(t, dir, "post-truncate-crash", putOK, acked)
 }
 
 // TestAppendRollbackAfterFailedWrite pins the property the service's
@@ -277,7 +255,7 @@ func TestAppendRollbackAfterFailedWrite(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "data")
 			reg := fault.NewRegistry(1)
 			fs := fault.Inject(fault.OS{}, reg)
-			s, err := Open(dir, sweepConfig(fs, false))
+			s, err := Open(dir, sweepConfig(fs))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -300,7 +278,7 @@ func TestAppendRollbackAfterFailedWrite(t *testing.T) {
 				t.Fatalf("retried append failed: %v", err)
 			}
 			s.Close()
-			verifyRecovery(t, dir, site+" retry", true, 1, false)
+			verifyRecovery(t, dir, site+" retry", true, 1)
 		})
 	}
 }
@@ -316,20 +294,18 @@ func hitAfter(reg *fault.Registry, site string) int {
 func FuzzCrashRecovery(f *testing.F) {
 	f.Add("sync:wal.log#3=crash", uint64(1))
 	f.Add("write:wal.log#5=torn", uint64(2))
-	f.Add("rename:snapshot.bin#2=crash", uint64(3))
-	f.Add("write:snapshot.bin.tmp~0.5=eio", uint64(4))
+	f.Add("rename:snapshot.map#2=crash", uint64(3))
+	f.Add("write:snapshot.map.tmp~0.5=eio", uint64(4))
 	f.Add("sync:wal.log~0.3=enospc,rename:wal.log=crash", uint64(5))
 	f.Add("rename:snapshot.map#1=crash", uint64(6))
 	f.Add("map:snapshot.map=eio", uint64(7))
 	f.Fuzz(func(t *testing.T, spec string, seed uint64) {
-		for _, mapped := range []bool{false, true} {
-			reg, err := fault.ParseSpec(spec, seed)
-			if err != nil {
-				t.Skip()
-			}
-			dir := filepath.Join(t.TempDir(), "data")
-			putOK, acked := runCrashScenario(dir, fault.Inject(fault.OS{}, reg), mapped)
-			verifyRecovery(t, dir, "spec "+spec, putOK, acked, mapped)
+		reg, err := fault.ParseSpec(spec, seed)
+		if err != nil {
+			t.Skip()
 		}
+		dir := filepath.Join(t.TempDir(), "data")
+		putOK, acked := runCrashScenario(dir, fault.Inject(fault.OS{}, reg))
+		verifyRecovery(t, dir, "spec "+spec, putOK, acked)
 	})
 }

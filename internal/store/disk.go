@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -19,33 +18,29 @@ import (
 
 // On-disk layout: one subdirectory per graph ID holding
 //
-//	snapshot.bin   magic ∥ uvarint-len metaJSON ∥ binary CSR graph ∥ SHA-256(payload)
 //	snapshot.map   a graph.WCCM1 file with metaJSON embedded in its
-//	               header page — the out-of-core snapshot format,
-//	               written instead of snapshot.bin once a record's
-//	               edge count reaches Config.MappedThreshold; served
-//	               directly off an mmap (or pread) of the file
+//	               header page, served directly off an mmap (or pread)
+//	               of the file — the adjacency never becomes
+//	               heap-resident
 //	wal.log        magic ∥ records, each: uvarint len ∥ payload ∥ SHA-256(payload)
 //	               payload = uvarint-len metaJSON(Version) ∥ uvarint count ∥ count × (uvarint u ∥ uvarint v)
 //
-// A record has exactly one live snapshot file; the other format may
-// transiently exist across the crash window of a format-switching
-// compaction, in which case open keeps the higher-versioned file and
-// sweeps the stale one. Snapshots are written to a temp file, fsync'd,
-// and renamed into place — they are never torn. WAL records are
-// fsync'd before Append returns; a crash mid-write leaves a torn tail
-// that open detects (by its per-record digest) and truncates away,
-// which can only drop an append the caller was never told succeeded.
-// On open every surviving record's chained version digest is
-// re-verified against the lineage, so silent corruption cannot replay
-// into a wrong graph.
+// Snapshots are written to a temp file, fsync'd, and renamed into place
+// — they are never torn. WAL records are fsync'd before Append returns;
+// a crash mid-write leaves a torn tail that open detects (by its
+// per-record digest) and truncates away, which can only drop an append
+// the caller was never told succeeded. On open every surviving record's
+// chained version digest is re-verified against the lineage, so silent
+// corruption cannot replay into a wrong graph.
 const (
-	snapMagic = "WCCSNAP1"
 	walMagic  = "WCCWAL1\n"
-	snapFile  = "snapshot.bin"
 	mapFile   = "snapshot.map"
 	walFile   = "wal.log"
 	probeFile = ".probe"
+	// legacyFile is the varint WCCB1 snapshot earlier versions of the
+	// store wrote. It is never read; a directory holding one instead of
+	// snapshot.map makes Open fail rather than sweep it as a husk.
+	legacyFile = "snapshot.bin"
 )
 
 // walState pairs a graph's open WAL handle with the byte length of its
@@ -144,9 +139,7 @@ func Open(dir string, cfg Config) (*Disk, error) {
 		}
 		recs = append(recs, rec)
 		s.wals[rec.meta.ID] = wal
-		if rec.mapped != nil {
-			s.maps[rec.meta.ID] = rec.mapped
-		}
+		s.maps[rec.meta.ID] = rec.mapped
 		if rec.seq >= s.seq {
 			s.seq = rec.seq + 1
 		}
@@ -167,94 +160,42 @@ func Open(dir string, cfg Config) (*Disk, error) {
 	return s, nil
 }
 
-// load reads one graph directory: snapshot (either format), then WAL
-// replay. When both formats exist — the crash window of a
-// format-switching compaction, which renames the new snapshot before
-// removing the old one — the higher-versioned file wins and the stale
-// one is swept. Picking the lower one would strand the WAL: batches up
-// to the newer snapshot's version are already folded in, so replay
-// would hit a version gap.
+// load reads one graph directory: snapshot, then WAL replay. A
+// directory without snapshot.map is a husk (see Open) unless it still
+// holds a legacy snapshot.bin: that graph was acknowledged by an
+// earlier store version, so load refuses it instead of letting Open
+// sweep acknowledged data.
 func (s *Disk) load(id string) (*record, *walState, error) {
 	gdir := filepath.Join(s.dir, id)
-	binRec, binErr := s.loadBinarySnapshot(gdir, id)
-	if binErr != nil && !errors.Is(binErr, os.ErrNotExist) {
-		return nil, nil, binErr
-	}
-	mapRec, mapErr := s.loadMappedSnapshot(gdir, id)
-	if mapErr != nil && !errors.Is(mapErr, os.ErrNotExist) {
-		return nil, nil, mapErr
-	}
-	var rec *record
-	switch {
-	case binRec != nil && mapRec != nil:
-		if mapRec.snapVer.Version >= binRec.snapVer.Version {
-			rec = mapRec
-			s.fs.Remove(filepath.Join(gdir, snapFile))
-		} else {
-			rec = binRec
-			mapRec.mapped.release()
-			s.fs.Remove(filepath.Join(gdir, mapFile))
+	rec, err := s.loadMappedSnapshot(gdir, id)
+	if errors.Is(err, os.ErrNotExist) {
+		if lerr := s.refuseLegacy(gdir); lerr != nil {
+			return nil, nil, lerr
 		}
-	case mapRec != nil:
-		rec = mapRec
-	case binRec != nil:
-		rec = binRec
-	default:
-		// Neither snapshot exists: a husk directory (see Open).
-		return nil, nil, binErr
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	wal, err := s.replayWAL(gdir, rec)
 	if err != nil {
-		if rec.mapped != nil {
-			rec.mapped.release()
-		}
+		rec.mapped.release()
 		return nil, nil, err
 	}
 	return rec, wal, nil
 }
 
-// loadBinarySnapshot reads and verifies a WCCB1-era snapshot.bin.
-func (s *Disk) loadBinarySnapshot(gdir, id string) (*record, error) {
-	data, err := s.fs.ReadFile(filepath.Join(gdir, snapFile))
+// refuseLegacy returns an error if gdir holds a WCCB1 snapshot.bin.
+func (s *Disk) refuseLegacy(gdir string) error {
+	entries, err := s.fs.ReadDir(gdir)
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
+		return err
 	}
-	if len(data) < len(snapMagic)+sha256.Size {
-		return nil, fmt.Errorf("snapshot: file too short (%d bytes)", len(data))
+	for _, ent := range entries {
+		if ent.Name() == legacyFile {
+			return fmt.Errorf("legacy WCCB1 snapshot %s found and no %s: this store reads only %s; the directory is left untouched", legacyFile, mapFile, mapFile)
+		}
 	}
-	payload, sum := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
-	if got := sha256.Sum256(payload); !bytes.Equal(got[:], sum) {
-		return nil, fmt.Errorf("snapshot: digest mismatch (corrupt file)")
-	}
-	if string(payload[:len(snapMagic)]) != snapMagic {
-		return nil, fmt.Errorf("snapshot: bad magic")
-	}
-	r := bytes.NewReader(payload[len(snapMagic):])
-	metaRaw, err := readBlock(r)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot meta: %w", err)
-	}
-	var sm snapMeta
-	if err := json.Unmarshal(metaRaw, &sm); err != nil {
-		return nil, fmt.Errorf("snapshot meta: %w", err)
-	}
-	if sm.Meta.ID != id {
-		return nil, fmt.Errorf("snapshot names graph %s, directory is %s", sm.Meta.ID, id)
-	}
-	g, err := graph.ReadBinary(r)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot graph: %w", err)
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("snapshot: %d trailing bytes", r.Len())
-	}
-	if g.N() != sm.Ver.N || g.M() != sm.Ver.M {
-		return nil, fmt.Errorf("snapshot graph is n=%d m=%d, metadata says n=%d m=%d", g.N(), g.M(), sm.Ver.N, sm.Ver.M)
-	}
-	if sm.Ver.Version == 0 && DigestGraph(g) != sm.Meta.Digest {
-		return nil, fmt.Errorf("snapshot content does not match its digest")
-	}
-	return &record{meta: sm.Meta, seq: sm.Seq, snap: g, snapVer: sm.Ver}, nil
+	return nil
 }
 
 // loadMappedSnapshot maps and verifies a WCCM1 snapshot.map. All three
@@ -291,12 +232,6 @@ func (s *Disk) loadMappedSnapshot(gdir, id string) (*record, error) {
 		return nil, fmt.Errorf("snapshot content does not match its digest")
 	}
 	return &record{meta: sm.Meta, seq: sm.Seq, snapVer: sm.Ver, mapped: newMappedHandle(m, mg)}, nil
-}
-
-// mappedFor reports whether a snapshot with m edges belongs in the
-// mapped format.
-func (s *Disk) mappedFor(m int) bool {
-	return s.cfg.MappedThreshold > 0 && int64(m) >= s.cfg.MappedThreshold
 }
 
 // openMapped maps a snapshot file this process just wrote and wraps it
@@ -445,22 +380,6 @@ func appendBlock(dst, block []byte) []byte {
 	return append(dst, block...)
 }
 
-// encodeSnapshot renders the full snapshot file contents.
-func encodeSnapshot(sm snapMeta, g *graph.Graph) ([]byte, error) {
-	metaRaw, err := json.Marshal(sm)
-	if err != nil {
-		return nil, err
-	}
-	payload := append([]byte(snapMagic), appendBlock(nil, metaRaw)...)
-	var gbuf bytes.Buffer
-	if err := graph.WriteBinary(&gbuf, g); err != nil {
-		return nil, err
-	}
-	payload = append(payload, gbuf.Bytes()...)
-	sum := sha256.Sum256(payload)
-	return append(payload, sum[:]...), nil
-}
-
 // writeFileAtomic writes data to path via a temp file + fsync + rename.
 // The leftover .tmp of a failed attempt is removed best-effort — load
 // never reads it, so a crash between write and cleanup costs only disk.
@@ -508,38 +427,22 @@ func (s *Disk) Put(meta Meta, base *graph.Graph, v0 Version) ([]string, error) {
 	}
 	rec := &record{meta: meta, seq: s.seq, snapVer: v0}
 	s.seq++
-	sm := snapMeta{Meta: meta, Seq: rec.seq, Ver: v0}
-	if s.mappedFor(v0.M) {
-		// Out-of-core record: stream the WCCM1 snapshot, then serve off
-		// its mapping — the caller's in-RAM base is not retained.
-		metaRaw, err := json.Marshal(sm)
-		if err != nil {
-			return nil, err
-		}
-		mpath := filepath.Join(gdir, mapFile)
-		if err := s.writeMappedAtomic(mpath, base, base.N(), nil, metaRaw); err != nil {
-			return nil, err
-		}
-		h, err := s.openMapped(mpath)
-		if err != nil {
-			return nil, err
-		}
-		rec.mapped = h
-	} else {
-		rec.snap = base
-		snap, err := encodeSnapshot(sm, base)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.writeFileAtomic(filepath.Join(gdir, snapFile), snap); err != nil {
-			return nil, err
-		}
+	// Stream the WCCM1 snapshot, then serve off its mapping — the
+	// caller's in-RAM base is not retained.
+	metaRaw, err := json.Marshal(snapMeta{Meta: meta, Seq: rec.seq, Ver: v0})
+	if err != nil {
+		return nil, err
+	}
+	mpath := filepath.Join(gdir, mapFile)
+	if err := s.writeMappedAtomic(mpath, base, base.N(), nil, metaRaw); err != nil {
+		return nil, err
+	}
+	if rec.mapped, err = s.openMapped(mpath); err != nil {
+		return nil, err
 	}
 	// From here on a failure must drop the mapping the record just took.
 	fail := func(err error) ([]string, error) {
-		if rec.mapped != nil {
-			rec.mapped.release()
-		}
+		rec.mapped.release()
 		return nil, err
 	}
 	walPath := filepath.Join(gdir, walFile)
@@ -554,9 +457,7 @@ func (s *Disk) Put(meta Meta, base *graph.Graph, v0 Version) ([]string, error) {
 	}
 	s.t.insert(rec)
 	s.wals[meta.ID] = &walState{f: wal, size: int64(len(walMagic))}
-	if rec.mapped != nil {
-		s.maps[meta.ID] = rec.mapped
-	}
+	s.maps[meta.ID] = rec.mapped
 	var evicted []string
 	for s.cfg.MaxGraphs > 0 && len(s.t.recs) > s.cfg.MaxGraphs {
 		id, ok := s.t.lruVictim()
@@ -705,8 +606,8 @@ func (s *Disk) compactor() {
 // compact folds every WAL batch older than the retained window into a
 // fresh snapshot at the window's oldest version, then rewrites the WAL
 // with only the remaining batches. Runs under the record lock: appends
-// to this graph stall for one materialization + two file writes, other
-// graphs are unaffected. Crash-safe: the snapshot lands first (old WAL
+// to this graph stall for one streamed snapshot write + one WAL
+// rewrite, other graphs are unaffected. Crash-safe: the snapshot lands first (old WAL
 // records it already covers are skipped on open by their version), the
 // WAL rename second. A failure leaves the pre-compaction files fully
 // valid — the error is reported so a persistently failing compaction
@@ -739,54 +640,25 @@ func (s *Disk) compact(id string) error {
 	if err != nil {
 		return err
 	}
-	sm := snapMeta{Meta: r.meta, Seq: r.seq, Ver: target}
-	var newSnap *graph.Graph
-	var newHandle *mappedHandle
-	if s.mappedFor(target.M) {
-		// Out-of-core target: stream base ∪ pre-window batches straight
-		// into a new WCCM1 file — the compaction never materializes the
-		// graph, so folding a snapshot larger than RAM stays O(n+delta).
-		metaRaw, err := json.Marshal(sm)
-		if err != nil {
-			return fmt.Errorf("encode snapshot meta: %w", err)
-		}
-		mpath := filepath.Join(gdir, mapFile)
-		if err := s.writeMappedAtomic(mpath, base, target.N, r.appended[:targetOff], metaRaw); err != nil {
-			return fmt.Errorf("write snapshot: %w", err)
-		}
-		newHandle, err = s.openMapped(mpath)
-		if err != nil {
-			return fmt.Errorf("map snapshot: %w", err)
-		}
-		if r.snap != nil {
-			// This compaction switched formats; the binary snapshot is
-			// stale (open would prefer the higher-versioned map anyway).
-			s.fs.Remove(filepath.Join(gdir, snapFile))
-		}
-	} else {
-		newSnap, err = r.materializeLocked(target.Version, s.cfg.RetainVersions)
-		if err != nil {
-			return fmt.Errorf("materialize version %d: %w", target.Version, err)
-		}
-		snap, err := encodeSnapshot(sm, newSnap)
-		if err != nil {
-			return fmt.Errorf("encode snapshot: %w", err)
-		}
-		if err := s.writeFileAtomic(filepath.Join(gdir, snapFile), snap); err != nil {
-			return fmt.Errorf("write snapshot: %w", err)
-		}
-		if r.mapped != nil {
-			// Format switch in the shrinking direction (threshold raised
-			// across a restart); the mapped snapshot is stale.
-			s.fs.Remove(filepath.Join(gdir, mapFile))
-		}
+	// Stream base ∪ pre-window batches straight into a new WCCM1 file —
+	// the compaction never materializes the graph, so folding a snapshot
+	// larger than RAM stays O(n+delta).
+	metaRaw, err := json.Marshal(snapMeta{Meta: r.meta, Seq: r.seq, Ver: target})
+	if err != nil {
+		return fmt.Errorf("encode snapshot meta: %w", err)
+	}
+	mpath := filepath.Join(gdir, mapFile)
+	if err := s.writeMappedAtomic(mpath, base, target.N, r.appended[:targetOff], metaRaw); err != nil {
+		return fmt.Errorf("write snapshot: %w", err)
+	}
+	newHandle, err := s.openMapped(mpath)
+	if err != nil {
+		return fmt.Errorf("map snapshot: %w", err)
 	}
 	// A failure past this point keeps the old record state; the freshly
 	// mapped handle must not leak.
 	fail := func(err error) error {
-		if newHandle != nil {
-			newHandle.release()
-		}
+		newHandle.release()
 		return err
 	}
 	// Rewrite the WAL with the batches the new snapshot does not cover.
@@ -814,10 +686,10 @@ func (s *Disk) compact(id string) error {
 	}
 	// Swap in-memory state. The old appended array stays untouched so
 	// Delta slices handed out before the compaction remain valid, and
-	// the old mapping (if any) is only unmapped once every view pinned
-	// on it has released — the store reference moves under s.mu below.
+	// the old mapping is only unmapped once every view pinned on it has
+	// released — the store reference moves under s.mu below.
 	oldHandle := r.mapped
-	r.snap, r.mapped = newSnap, newHandle
+	r.mapped = newHandle
 	r.snapVer = target
 	r.appended = append([]graph.Edge(nil), r.appended[targetOff:]...)
 	r.batches = kept
@@ -829,15 +701,9 @@ func (s *Disk) compact(id string) error {
 		newWal.Close() // record was evicted/replaced mid-compaction
 	}
 	if s.t.recs[id] == r {
-		if oldHandle != nil {
-			oldHandle.release() // the store reference moves off the old mapping
-		}
-		if newHandle != nil {
-			s.maps[id] = newHandle
-		} else {
-			delete(s.maps, id)
-		}
-	} else if newHandle != nil {
+		oldHandle.release() // the store reference moves off the old mapping
+		s.maps[id] = newHandle
+	} else {
 		// Evicted mid-compaction: the eviction already released the old
 		// store reference; the fresh mapping is an orphan.
 		newHandle.release()

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -161,20 +162,51 @@ func TestDiskTornWALHeader(t *testing.T) {
 	}
 }
 
-// TestDiskSnapshotCorruption: a snapshot whose digest does not verify is
-// a hard open error — the store refuses to guess at graph content.
+// TestDiskSnapshotCorruption: a snapshot whose digests do not verify is
+// a hard open error — the store refuses to guess at graph content. One
+// bit is flipped in each WCCM1 section in turn: header page, adjacency,
+// offsets, trailer.
 func TestDiskSnapshotCorruption(t *testing.T) {
 	dir := t.TempDir()
 	s := openDisk(t, dir, Config{})
 	m := putGraph(t, s, 5)
 	s.Close()
 
-	snapPath := filepath.Join(dir, m.ID, snapFile)
-	data := rawReadFile(t, snapPath)
-	data[len(data)/2] ^= 0x01
-	rawWriteFile(t, snapPath, data)
-	if _, err := Open(dir, Config{}); err == nil {
-		t.Fatal("open accepted a corrupt snapshot")
+	snapPath := filepath.Join(dir, m.ID, mapFile)
+	good := rawReadFile(t, snapPath)
+	for _, off := range []int{8, 4096, len(good) - 97, len(good) - 1} {
+		data := append([]byte(nil), good...)
+		data[off] ^= 0x01
+		rawWriteFile(t, snapPath, data)
+		if _, err := Open(dir, Config{}); err == nil {
+			t.Fatalf("open accepted a snapshot with byte %d of %d flipped", off, len(good))
+		}
+	}
+}
+
+// TestDiskRefusesLegacySnapshot: a graph directory that still holds a
+// WCCB1 snapshot.bin written by an earlier store version, and no
+// snapshot.map, is acknowledged data the store cannot read. Open must
+// fail naming the graph and the file, and must leave the file in place
+// instead of sweeping the directory as a crash husk.
+func TestDiskRefusesLegacySnapshot(t *testing.T) {
+	dir := t.TempDir()
+	gdir := filepath.Join(dir, "g-legacy0000")
+	legacy := filepath.Join(gdir, legacyFile)
+	rawMkdirAll(t, gdir)
+	rawWriteFile(t, legacy, []byte("WCCSNAP1 acknowledged graph"))
+	rawWriteFile(t, filepath.Join(gdir, walFile), []byte(walMagic))
+	_, err := Open(dir, Config{})
+	if err == nil {
+		t.Fatal("open accepted a data directory with a legacy snapshot")
+	}
+	for _, want := range []string{"g-legacy0000", legacyFile} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("open error %q does not name %s", err, want)
+		}
+	}
+	if !rawExists(t, legacy) {
+		t.Fatal("open removed the legacy snapshot")
 	}
 }
 
@@ -223,7 +255,7 @@ func TestDiskCompactionPersists(t *testing.T) {
 
 	// The snapshot file now materializes version 4 directly (its meta
 	// says so), and the WAL is shorter than a full history would be.
-	raw := rawReadFile(t, filepath.Join(dir, m.ID, snapFile))
+	raw := rawReadFile(t, filepath.Join(dir, m.ID, mapFile))
 	if !bytes.Contains(raw, []byte(`"version":4`)) {
 		t.Error("snapshot metadata does not carry the compacted version")
 	}
@@ -335,7 +367,7 @@ func FuzzWALReplay(f *testing.F) {
 	}
 	s.Close()
 	wal := rawReadFile(f, filepath.Join(seedDir, meta.ID, walFile))
-	snap := rawReadFile(f, filepath.Join(seedDir, meta.ID, snapFile))
+	snap := rawReadFile(f, filepath.Join(seedDir, meta.ID, mapFile))
 	f.Add(wal)
 	f.Add(wal[:len(wal)-3])
 	f.Add([]byte(walMagic))
@@ -349,7 +381,7 @@ func FuzzWALReplay(f *testing.F) {
 		dir := t.TempDir()
 		gdir := filepath.Join(dir, meta.ID)
 		rawMkdirAll(t, gdir)
-		rawWriteFile(t, filepath.Join(gdir, snapFile), snap)
+		rawWriteFile(t, filepath.Join(gdir, mapFile), snap)
 		rawWriteFile(t, filepath.Join(gdir, walFile), data)
 		st, err := Open(dir, Config{})
 		if err != nil {

@@ -4,48 +4,39 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/graph"
 )
 
 // TestDiskConformanceMapped: the full behavioral conformance suite must
-// hold with every snapshot in WCCM1 form (threshold 1 = all graphs go
-// out of core). The two disk modes are interchangeable from above.
+// also hold when every snapshot mapping is served by positioned reads
+// (fault.OS{NoMmap: true}) — the fallback a platform without mmap
+// takes. The two residencies of a mapped snapshot are interchangeable
+// from above.
 func TestDiskConformanceMapped(t *testing.T) {
 	runConformance(t, func(t *testing.T, cfg Config) Store {
-		cfg.MappedThreshold = 1
-		s, err := Open(t.TempDir(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		return s
-	})
+		cfg.FS = fault.OS{NoMmap: true}
+		return openDiskCleanup(t, t.TempDir(), cfg)
+	}, reopenDisk)
 }
 
 func openMappedDisk(t *testing.T, dir string) *Disk {
 	t.Helper()
-	s, err := Open(dir, Config{MappedThreshold: 1, RetainVersions: 3, SyncCompaction: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return openDisk(t, dir, Config{RetainVersions: 3, SyncCompaction: true})
 }
 
-// TestDiskMappedSnapshotLifecycle walks the whole out-of-core snapshot
-// life: Put writes snapshot.map (never snapshot.bin), a reopen serves
-// the identical lineage off the mapping, compaction rewrites the WCCM1
-// file by streaming (base view + WAL prefix) and advances its version,
-// and a corrupted mapping is a hard open error.
+// TestDiskMappedSnapshotLifecycle walks the whole snapshot life: Put
+// writes snapshot.map, a reopen serves the identical lineage off the
+// mapping, compaction rewrites the WCCM1 file by streaming (base view +
+// WAL prefix) and advances its version, and a corrupted mapping is a
+// hard open error.
 func TestDiskMappedSnapshotLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	s := openMappedDisk(t, dir)
 	m := putGraph(t, s, 8)
 	gdir := filepath.Join(dir, m.ID)
 	if !rawExists(t, filepath.Join(gdir, mapFile)) {
-		t.Fatal("Put above the threshold did not write snapshot.map")
-	}
-	if rawExists(t, filepath.Join(gdir, snapFile)) {
-		t.Fatal("mapped Put also wrote snapshot.bin")
+		t.Fatal("Put did not write snapshot.map")
 	}
 	want, err := s.Materialize(m.ID, 0)
 	if err != nil {
@@ -81,9 +72,6 @@ func TestDiskMappedSnapshotLifecycle(t *testing.T) {
 	}
 	tipDigest := DigestGraph(tip)
 	s.Close()
-	if rawExists(t, filepath.Join(gdir, snapFile)) {
-		t.Fatal("mapped compaction left a snapshot.bin behind")
-	}
 
 	s = openMappedDisk(t, dir)
 	tip2, err := s.Materialize(m.ID, vers[len(vers)-1].Version)
@@ -100,64 +88,8 @@ func TestDiskMappedSnapshotLifecycle(t *testing.T) {
 	data := rawReadFile(t, filepath.Join(gdir, mapFile))
 	data[len(data)/2] ^= 0x01
 	rawWriteFile(t, filepath.Join(gdir, mapFile), data)
-	if _, err := Open(dir, Config{MappedThreshold: 1}); err == nil {
+	if _, err := Open(dir, Config{}); err == nil {
 		t.Fatal("open accepted a corrupt snapshot.map")
-	}
-}
-
-// TestDiskFormatSwitch: raising the threshold over an existing binary
-// store converts each graph to WCCM1 at its next compaction, and when a
-// crash in the switch window leaves both files behind, the higher
-// snapshot version wins and the stale loser is swept.
-func TestDiskFormatSwitch(t *testing.T) {
-	dir := t.TempDir()
-	s := openDisk(t, dir, Config{RetainVersions: 3, SyncCompaction: true})
-	m := putGraph(t, s, 8)
-	s.Close()
-	gdir := filepath.Join(dir, m.ID)
-	binSnap := rawReadFile(t, filepath.Join(gdir, snapFile))
-
-	// Reopen above the threshold: the binary snapshot still loads (the
-	// threshold governs writes, not reads) and appends past the window
-	// compact it into WCCM1 form.
-	s = openMappedDisk(t, dir)
-	for i := 0; i < 6; i++ {
-		appendBatch(t, s, m.ID, []graph.Edge{{U: graph.Vertex(i), V: graph.Vertex(i + 2)}})
-	}
-	vers, err := s.Versions(m.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tipVer := vers[len(vers)-1].Version
-	tip, err := s.Materialize(m.ID, tipVer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tipDigest := DigestGraph(tip)
-	s.Close()
-	if !rawExists(t, filepath.Join(gdir, mapFile)) {
-		t.Fatal("format-switch compaction did not write snapshot.map")
-	}
-	if rawExists(t, filepath.Join(gdir, snapFile)) {
-		t.Fatal("format-switch compaction did not remove snapshot.bin")
-	}
-
-	// Crash window: resurrect the stale version-0 binary snapshot so
-	// both files exist. The mapped one carries the higher version — the
-	// lower pick would strand the WAL behind a version gap — so it must
-	// win, and the loser must be swept.
-	rawWriteFile(t, filepath.Join(gdir, snapFile), binSnap)
-	s = openMappedDisk(t, dir)
-	tip2, err := s.Materialize(m.ID, tipVer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if DigestGraph(tip2) != tipDigest {
-		t.Fatal("dual-format open picked the stale snapshot")
-	}
-	s.Close()
-	if rawExists(t, filepath.Join(gdir, snapFile)) {
-		t.Fatal("stale snapshot.bin survived the dual-format open")
 	}
 }
 
@@ -203,7 +135,7 @@ func TestDiskViewOutlivesEviction(t *testing.T) {
 	}
 }
 
-// TestStoreViewMatchesMaterialize runs on every backend/mode: for each
+// TestStoreViewMatchesMaterialize runs on every backend and residency: for each
 // retained version, the View (snapshot view or overlay) must describe
 // exactly the graph Materialize builds — same digest, same counts.
 func TestStoreViewMatchesMaterialize(t *testing.T) {
@@ -213,21 +145,11 @@ func TestStoreViewMatchesMaterialize(t *testing.T) {
 			t.Cleanup(func() { s.Close() })
 			return s
 		},
-		"disk-binary": func(t *testing.T) Store {
-			s, err := Open(t.TempDir(), Config{RetainVersions: 4, SyncCompaction: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { s.Close() })
-			return s
-		},
 		"disk-mapped": func(t *testing.T) Store {
-			s, err := Open(t.TempDir(), Config{RetainVersions: 4, SyncCompaction: true, MappedThreshold: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { s.Close() })
-			return s
+			return openDiskCleanup(t, t.TempDir(), Config{RetainVersions: 4, SyncCompaction: true})
+		},
+		"disk-pread": func(t *testing.T) Store {
+			return openDiskCleanup(t, t.TempDir(), Config{RetainVersions: 4, SyncCompaction: true, FS: fault.OS{NoMmap: true}})
 		},
 	}
 	for name, open := range backends {

@@ -22,8 +22,8 @@ type record struct {
 	seq  int64 // first-stored order; the durable backend persists it
 	used int64 // last-access tick for LRU eviction
 	// Exactly one of snap and mapped is set: snap is the resident CSR
-	// base, mapped an out-of-core base served off the snapshot file's
-	// mapping (disk backend, m >= Config.MappedThreshold).
+	// base (memory backend), mapped the base served off the snapshot
+	// file's mapping (disk backend).
 	snap    *graph.Graph
 	mapped  *mappedHandle
 	snapVer Version
@@ -44,7 +44,7 @@ type batchMeta struct {
 	off int // len(appended) prefix including this batch
 }
 
-// mappedHandle refcounts the mapping behind an out-of-core base so it
+// mappedHandle refcounts the mapping behind a disk record's base so it
 // is unmapped only after the last reader is done: the record itself
 // holds one reference (dropped on eviction, compaction swap, or store
 // close), and every View acquires one for its lifetime. Without the
@@ -100,16 +100,6 @@ func (r *record) pinBase() (v graph.View, release func(), ok bool) {
 		return nil, nil, false
 	}
 	return r.mapped.g, r.mapped.release, true
-}
-
-// baseView is pinBase for callers that stay under r.mu and inside the
-// store's own lifecycle (compaction), where the record reference
-// itself keeps the mapping alive.
-func (r *record) baseView() graph.View {
-	if r.mapped != nil {
-		return r.mapped.g
-	}
-	return r.snap
 }
 
 // window returns the retained version lineage, oldest first: the
@@ -258,30 +248,36 @@ func (r *record) materializeLocked(version, retain int) (*graph.Graph, error) {
 	return g, nil
 }
 
-// viewLocked returns a graph.View of a retained version without
-// materializing it: the base view itself for the snapshot version, an
-// Overlay of the appended prefix otherwise. The release func pins a
-// mapped base's pages until called; for resident bases it is a no-op
-// (the old *Graph outlives the view by garbage collection). Callers
-// hold r.mu; the returned view is safe to use after the lock is
-// released — the appended array is append-only between compactions,
-// and compaction replaces rather than mutates it.
+// viewLocked returns a graph.View of a retained version. A mapped
+// record is never materialized: the view is the mapped base itself for
+// the snapshot version, an Overlay of the appended prefix otherwise,
+// and the release func pins the mapping until called. A resident
+// record (memory backend) returns its materialization — the snapshot
+// or the cached tip CSR, exactly what Materialize returns — so solvers
+// keep their CSR fast path; its release func is a no-op. Callers hold
+// r.mu; the returned view is safe to use after the lock is released —
+// the appended array is append-only between compactions, and
+// compaction replaces rather than mutates it.
 func (r *record) viewLocked(version, retain int) (graph.View, func(), error) {
+	if r.mapped == nil {
+		g, err := r.materializeLocked(version, retain)
+		if err != nil {
+			return nil, nil, err
+		}
+		return g, func() {}, nil
+	}
 	off, err := r.offOf(version, retain)
 	if err != nil {
 		return nil, nil, err
 	}
-	base, release, ok := r.pinBase()
-	if !ok {
+	if !r.mapped.tryAcquire() {
 		return nil, nil, fmt.Errorf("%w: graph %s evicted", ErrNotFound, r.meta.ID)
 	}
-	var v graph.View
-	if version == r.snapVer.Version {
-		v = base
-	} else {
-		v = graph.NewOverlay(base, r.infoOf(version).N, r.appended[:off])
+	var v graph.View = r.mapped.g
+	if version != r.snapVer.Version {
+		v = graph.NewOverlay(v, r.infoOf(version).N, r.appended[:off])
 	}
-	return v, release, nil
+	return v, r.mapped.release, nil
 }
 
 // appendLocked applies the shared in-memory effect of one batch.

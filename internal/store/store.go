@@ -5,12 +5,13 @@
 // interface with two backends.
 //
 // Memory (NewMemory) is the original in-process map: nothing survives a
-// restart. Disk (Open) is durable: each graph keeps a binary CSR
-// snapshot file plus an fsync'd append-only write-ahead log of edge
-// batches, both digest-verified on open, with compaction folding WAL
-// batches into a fresh snapshot once they outgrow the retained version
-// window. A wccserve restarted on the same data directory rebuilds the
-// exact graphs, versions, and digests it served before the kill.
+// restart. Disk (Open) is durable: each graph keeps a WCCM1 snapshot
+// file, served straight off its mapping, plus an fsync'd append-only
+// write-ahead log of edge batches, both digest-verified on open, with
+// compaction folding WAL batches into a fresh snapshot once they
+// outgrow the retained version window. A wccserve restarted on the
+// same data directory rebuilds the exact graphs, versions, and digests
+// it served before the kill.
 //
 // Both backends share the same semantics, enforced by one conformance
 // suite: content-addressed records, LRU eviction by last access under
@@ -79,15 +80,6 @@ type Config struct {
 	// Append instead of on the background goroutine — deterministic
 	// for tests; ignored by the memory backend.
 	SyncCompaction bool
-	// MappedThreshold is the edge count at or above which the disk
-	// backend stores a graph's snapshot in the fixed-width mmap-able
-	// WCCM1 format (snapshot.map) instead of the varint WCCB1 one, and
-	// serves Views directly off the mapping — the adjacency never
-	// becomes heap-resident. Zero or negative disables mapped
-	// snapshots. Edge counts only grow, so a graph that crosses the
-	// threshold switches formats at its next compaction and never
-	// switches back. Ignored by the memory backend.
-	MappedThreshold int64
 	// FS is the filesystem seam the disk backend performs every
 	// operation through. Nil selects the real filesystem (fault.OS);
 	// chaos tests and wccserve -fault-spec pass a fault.Inject-wrapped
@@ -143,14 +135,15 @@ type Store interface {
 	// a retained version. The latest version's materialization is
 	// cached and pointer-stable until the next append.
 	Materialize(id string, version int) (*graph.Graph, error)
-	// View returns a read view of a retained version without
-	// materializing it: for a mapped record (disk backend past
-	// Config.MappedThreshold) the view serves straight off the
+	// View returns a read view of a retained version. The disk backend
+	// never materializes it: the view serves straight off the
 	// snapshot's mapped pages, with appended batches layered as an
-	// in-memory overlay; otherwise it wraps the resident snapshot. The
-	// release func pins the underlying mapping for the view's lifetime
-	// — eviction and compaction unmap only after the last release — and
-	// must be called exactly once when the caller is done scanning.
+	// in-memory overlay. The memory backend's graphs are resident
+	// anyway, so its view is the CSR Materialize returns, which keeps
+	// the solvers' CSR fast path. The release func pins the underlying
+	// mapping for the view's lifetime — eviction and compaction unmap
+	// only after the last release — and must be called exactly once
+	// when the caller is done scanning.
 	View(id string, version int) (graph.View, func(), error)
 	// Evict removes one graph (and, for the durable backend, its
 	// files), reporting whether it was present.
