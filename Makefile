@@ -62,9 +62,11 @@ chaos-smoke:
 repl-chaos-smoke:
 	$(GO) test $(CHAOSFLAGS) -race -run='^TestChaos|^TestFeedGone|^TestReplicaRestart|^TestSnapshot' ./internal/repl/
 
-# Race-checked run of the packages with executor-level concurrency.
+# Race-checked run of the packages with executor-level concurrency,
+# plus the replica apply path (repl tailers apply, and compact, through
+# the store while dynamic engines fold the batches).
 race:
-	$(GO) test -race ./internal/mpc/ ./internal/parallel/ ./internal/algo/ ./internal/randwalk/ ./internal/randomize/ ./internal/baseline/ ./internal/service/ ./internal/store/
+	$(GO) test -race ./internal/mpc/ ./internal/parallel/ ./internal/algo/ ./internal/randwalk/ ./internal/randomize/ ./internal/baseline/ ./internal/service/ ./internal/store/ ./internal/repl/ ./internal/dynamic/
 
 # One-iteration pass over the perf-critical benchmarks: catches crashes,
 # allocation regressions (-benchmem), and gross slowdowns in seconds.

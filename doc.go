@@ -79,10 +79,13 @@
 // (wccserve -data-dir). The durable backend keeps, per graph, a WCCM1
 // snapshot file plus an fsync'd append-only edge-batch WAL, both
 // digest-verified and replayed on boot, with background compaction
-// folding WAL batches that outgrow the retained version window into a
-// fresh snapshot; a restarted server answers the same queries (same
-// IDs, versions, chained digests) it did before SIGTERM. Eviction under
-// MaxGraphs pressure is LRU by last access, so hot graphs survive.
+// folding WAL batches retired from the retained version window into a
+// fresh snapshot once a full extra window of them has piled up — one
+// snapshot rewrite per RetainVersions appends, not one per append, and
+// at most 2×RetainVersions batches per graph; a restarted server
+// answers the same queries (same IDs, versions, chained digests) it did
+// before SIGTERM. Eviction under MaxGraphs pressure is LRU by last
+// access, so hot graphs survive.
 // WCCM1 is internal/graph's fixed-width, page-aligned,
 // digest-trailered CSR layout (wccgen -format mapped writes it, wccfind
 // auto-detects it). It costs about 10.5 bytes per edge on disk against

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -325,5 +326,51 @@ func BenchmarkMappedNeighbors(b *testing.B) {
 			}
 			_ = sink
 		})
+	}
+}
+
+// TestOverlayCanonicalOrder: an Overlay must scan exactly like the CSR
+// rebuilt from base plus delta — every adjacency sorted, so
+// ForEachEdgeView (and the digests built on it) cannot tell the two
+// apart. Delta neighbors interleave with base ones on both sides, on a
+// resident base (shared slices), a mapped base and a pread base
+// (decoded into the caller's buffer), with and without a buffer.
+func TestOverlayCanonicalOrder(t *testing.T) {
+	base := FromEdges(6, []Edge{{U: 0, V: 2}, {U: 0, V: 4}, {U: 1, V: 3}, {U: 3, V: 5}, {U: 2, V: 2}})
+	delta := []Edge{{U: 0, V: 5}, {U: 0, V: 1}, {U: 3, V: 3}, {U: 6, V: 0}, {U: 4, V: 2}, {U: 0, V: 3}}
+	n := 7
+	b := NewBuilder(n)
+	ForEachEdgeView(base, func(e Edge) { b.AddEdge(e.U, e.V) })
+	for _, e := range delta {
+		b.AddEdge(e.U, e.V)
+	}
+	want := b.Build()
+	var wantEdges []Edge
+	want.ForEachEdge(func(e Edge) { wantEdges = append(wantEdges, e) })
+
+	enc := encodeMapped(t, base)
+	mapped, err := OpenMappedSource(NewBytesSource(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pread, err := OpenMappedSource(preadSource{NewBytesSource(enc)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bv := range map[string]View{"resident": base, "mapped": mapped, "pread": pread} {
+		ov := NewOverlay(bv, n, delta)
+		for v := Vertex(0); int(v) < n; v++ {
+			for _, buf := range [][]Vertex{nil, make([]Vertex, 0, ov.Degree(v))} {
+				got := ov.Neighbors(v, buf)
+				if w := want.Neighbors(v, nil); !slices.Equal(got, w) {
+					t.Fatalf("%s: Neighbors(%d) = %v, want %v", name, v, got, w)
+				}
+			}
+		}
+		var gotEdges []Edge
+		ForEachEdgeView(ov, func(e Edge) { gotEdges = append(gotEdges, e) })
+		if !slices.Equal(gotEdges, wantEdges) {
+			t.Fatalf("%s: scanned %v, want %v", name, gotEdges, wantEdges)
+		}
 	}
 }

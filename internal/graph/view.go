@@ -33,7 +33,8 @@ type View interface {
 // undirected edge (U <= V; loops once), in the same canonical order the
 // CSR iteration produces. The view must be in canonical form — each
 // adjacency sorted, every non-loop half mirrored, loop halves even —
-// which holds for every View this package constructs.
+// which holds for every View this package constructs (an Overlay
+// merges its base and delta runs to keep it).
 func ForEachEdgeView(v View, fn func(e Edge)) {
 	n := v.NumVertices()
 	var buf []Vertex
@@ -69,10 +70,9 @@ func MaterializeView(v View) *Graph {
 // Overlay is a View of "base plus appended edges" without rebuilding
 // the base: the store serves post-snapshot versions of an out-of-core
 // graph this way, keeping only the delta (O(batch window)) resident.
-// Neighbor order is base-first then delta (each sorted); that differs
-// from the fully sorted order a rebuilt CSR would have, which is fine
-// for every View consumer — the solver's output is a pure function of
-// the edge multiset, not the scan order.
+// Neighbors merges a vertex's sorted base run with its sorted delta
+// run, so an overlay is in canonical form and scans in exactly the
+// order a rebuilt CSR would.
 type Overlay struct {
 	base View
 	n    int
@@ -142,6 +142,18 @@ func (o *Overlay) Neighbors(v Vertex, buf []Vertex) []Vertex {
 	// The base may have decoded into buf's prefix already (overlapping
 	// copy is a no-op then) or returned its own shared slice.
 	copy(buf, bs)
-	copy(buf[len(bs):], extra)
+	// Merge the delta in from the back: the write cursor k never
+	// overtakes the unread base element i (k = i+j+1), so the merge is
+	// in place.
+	i, j := len(bs)-1, len(extra)-1
+	for k := d - 1; j >= 0; k-- {
+		if i >= 0 && buf[i] > extra[j] {
+			buf[k] = buf[i]
+			i--
+		} else {
+			buf[k] = extra[j]
+			j--
+		}
+	}
 	return buf
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -158,7 +157,7 @@ func (p *Primary) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if p.opt.Registry != nil {
 		out = fault.InjectWriter(out, p.opt.Registry, "send:snapshot")
 	}
-	if err := graph.WriteMappedView(out, sortedView{view}, oldest.N, nil, mj); err != nil {
+	if err := graph.WriteMappedView(out, view, oldest.N, nil, mj); err != nil {
 		// Headers are gone; the truncated body fails the replica's WCCM1
 		// digest check, which is the recovery path that matters.
 		p.opt.Logf("repl: snapshot %s@%d transfer failed: %v", id, oldest.Version, err)
@@ -166,32 +165,6 @@ func (p *Primary) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	p.snapshots.Add(1)
 	p.opt.Logf("repl: shipped snapshot %s@%d to %s", id, oldest.Version, r.RemoteAddr)
-}
-
-// sortedView restores the WCCM1 sorted-adjacency invariant over a
-// store.View: when the oldest retained version sits above the store's
-// resident snapshot, the view is an overlay whose appended edges trail
-// each vertex's sorted base adjacency unsorted. The base snapshot's own
-// lists come back already sorted, so the common case is a linear scan
-// and no copy — the pinned mapped pages are served as-is.
-type sortedView struct{ graph.View }
-
-func (s sortedView) Neighbors(v graph.Vertex, buf []graph.Vertex) []graph.Vertex {
-	ns := s.View.Neighbors(v, buf)
-	if slices.IsSorted(ns) {
-		return ns
-	}
-	// ns may alias the view's own adjacency storage (Graph and Overlay
-	// both return internal slices when they can): never sort it in
-	// place. When the view already merged into buf the copy is a no-op
-	// and buf — caller scratch — is sorted directly.
-	if cap(buf) < len(ns) {
-		buf = make([]graph.Vertex, len(ns))
-	}
-	buf = buf[:len(ns)]
-	copy(buf, ns)
-	slices.Sort(buf)
-	return buf
 }
 
 // handleWAL streams batch records newer than ?from, then live ones as

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -17,11 +18,15 @@ func runConformance(t *testing.T, open func(t *testing.T, cfg Config) Store, reo
 	t.Run("PutGetList", func(t *testing.T) { testPutGetList(t, open(t, Config{})) })
 	t.Run("LRUEviction", func(t *testing.T) { testLRUEviction(t, open(t, Config{MaxGraphs: 2})) })
 	t.Run("AppendLineage", func(t *testing.T) { testAppendLineage(t, open(t, Config{})) })
-	t.Run("VersionWindow", func(t *testing.T) { testVersionWindow(t, open(t, Config{RetainVersions: 3, SyncCompaction: true})) })
+	t.Run("VersionWindow", func(t *testing.T) {
+		testVersionWindow(t, open(t, Config{RetainVersions: 3, SyncCompaction: true}), reopen)
+	})
 	t.Run("DeltaAndMaterialize", func(t *testing.T) { testDeltaAndMaterialize(t, open(t, Config{})) })
 	t.Run("Evict", func(t *testing.T) { testEvict(t, open(t, Config{})) })
 	t.Run("Tail", func(t *testing.T) { testTail(t, open(t, Config{})) })
-	t.Run("TailWindow", func(t *testing.T) { testTailWindow(t, open(t, Config{RetainVersions: 3, SyncCompaction: true})) })
+	t.Run("TailWindow", func(t *testing.T) {
+		testTailWindow(t, open(t, Config{RetainVersions: 3, SyncCompaction: true}), reopen)
+	})
 	t.Run("Edgeless", func(t *testing.T) {
 		testEdgeless(t, open(t, Config{RetainVersions: 3, SyncCompaction: true}), reopen)
 	})
@@ -182,7 +187,13 @@ func testAppendLineage(t *testing.T, s Store) {
 	}
 }
 
-func testVersionWindow(t *testing.T, s Store) {
+// testVersionWindow pins retention as the window alone: five appends at
+// RetainVersions=3 retire versions 0..2 — on the disk backend before
+// any compaction, so its WAL still holds the retired batches — and a
+// retired version is ErrNotFound on every read path, before and after
+// a reopen, while every retained version materializes with its
+// recorded shape.
+func testVersionWindow(t *testing.T, s Store, reopen func(t *testing.T, s Store) Store) {
 	m := putGraph(t, s, 6)
 	for i := 0; i < 5; i++ {
 		appendBatch(t, s, m.ID, []graph.Edge{{U: graph.Vertex(i), V: graph.Vertex(i + 1)}})
@@ -197,22 +208,54 @@ func testVersionWindow(t *testing.T, s Store) {
 	if vers[0].Version != 3 || vers[2].Version != 5 {
 		t.Fatalf("window %d..%d, want 3..5", vers[0].Version, vers[2].Version)
 	}
-	// Versions out of the window are gone for materialization and delta.
-	if _, err := s.Materialize(m.ID, 0); err == nil {
-		t.Error("materialized version 0 outside the window")
+	checkRetention(t, "appended", s, m.ID, vers)
+	s = reopen(t, s)
+	checkRetention(t, "reopened", s, m.ID, vers)
+}
+
+// checkRetention asserts that the graph's window is exactly want, that
+// every version older than it is ErrNotFound on Materialize, Delta,
+// View and Tail, and that every version inside it materializes with its
+// recorded N and M.
+func checkRetention(t *testing.T, label string, s Store, id string, want []Version) {
+	t.Helper()
+	got, err := s.Versions(id)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
-	if _, err := s.Delta(m.ID, 0, 5); err == nil {
-		t.Error("delta from outside the window succeeded")
+	if len(got) != len(want) {
+		t.Fatalf("%s: window %+v, want %+v", label, got, want)
 	}
-	// Everything inside the window still materializes with the right
-	// edge counts.
-	for _, v := range vers {
-		g, err := s.Materialize(m.ID, v.Version)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: window[%d] = %+v, want %+v", label, i, got[i], want[i])
+		}
+	}
+	latest := want[len(want)-1].Version
+	for v := 0; v < want[0].Version; v++ {
+		if _, err := s.Materialize(id, v); !errors.Is(err, ErrNotFound) {
+			t.Errorf("%s: materialize retired version %d: %v, want ErrNotFound", label, v, err)
+		}
+		if _, err := s.Delta(id, v, latest); !errors.Is(err, ErrNotFound) {
+			t.Errorf("%s: delta from retired version %d: %v, want ErrNotFound", label, v, err)
+		}
+		if _, release, err := s.View(id, v); !errors.Is(err, ErrNotFound) {
+			if err == nil {
+				release()
+			}
+			t.Errorf("%s: view of retired version %d: %v, want ErrNotFound", label, v, err)
+		}
+		if _, err := s.Tail(id, v); !errors.Is(err, ErrNotFound) {
+			t.Errorf("%s: tail from retired version %d: %v, want ErrNotFound", label, v, err)
+		}
+	}
+	for _, v := range want {
+		g, err := s.Materialize(id, v.Version)
 		if err != nil {
-			t.Fatalf("materialize %d: %v", v.Version, err)
+			t.Fatalf("%s: materialize %d: %v", label, v.Version, err)
 		}
 		if g.M() != v.M || g.N() != v.N {
-			t.Errorf("version %d materialized as n=%d m=%d, want n=%d m=%d", v.Version, g.N(), g.M(), v.N, v.M)
+			t.Errorf("%s: version %d materialized as n=%d m=%d, want n=%d m=%d", label, v.Version, g.N(), g.M(), v.N, v.M)
 		}
 	}
 }
@@ -344,11 +387,14 @@ func testTail(t *testing.T, s Store) {
 	}
 }
 
-// testTailWindow pins the compaction interaction: once a version falls
+// testTailWindow pins the retention interaction: once a version falls
 // out of the retained window, tailing from it is ErrNotFound — the
 // catch-up data is gone and the replica must re-bootstrap — while
-// tailing from inside the window still works.
-func testTailWindow(t *testing.T, s Store) {
+// tailing from inside the window still works. Five appends at
+// RetainVersions=3 stop short of the disk backend's compaction, so the
+// retired batches are still in its WAL; the answers must not change
+// across a reopen that replays them.
+func testTailWindow(t *testing.T, s Store, reopen func(t *testing.T, s Store) Store) {
 	m := putGraph(t, s, 5)
 	for i := 0; i < 5; i++ {
 		appendBatch(t, s, m.ID, []graph.Edge{{U: graph.Vertex(i % 4), V: 4}})
@@ -361,28 +407,32 @@ func testTailWindow(t *testing.T, s Store) {
 	if oldest == 0 {
 		t.Fatalf("window never trimmed: %+v", vers)
 	}
-	// Inside the window: the tail covers oldest..latest.
-	recs, err := s.Tail(m.ID, oldest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != latest-oldest {
-		t.Fatalf("Tail(%d) returned %d records, want %d", oldest, len(recs), latest-oldest)
-	}
-	for i, rec := range recs {
-		if rec.Info.Version != oldest+1+i {
-			t.Fatalf("record %d at version %d, want %d", i, rec.Info.Version, oldest+1+i)
+	check := func(label string) {
+		t.Helper()
+		// Inside the window: the tail covers oldest..latest.
+		recs, err := s.Tail(m.ID, oldest)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
+		if len(recs) != latest-oldest {
+			t.Fatalf("%s: Tail(%d) returned %d records, want %d", label, oldest, len(recs), latest-oldest)
+		}
+		for i, rec := range recs {
+			if rec.Info != vers[i+1] {
+				t.Fatalf("%s: record %d is %+v, want %+v", label, i, rec.Info, vers[i+1])
+			}
+		}
+		// Before the window (Tail included): gone for good.
+		checkRetention(t, label, s, m.ID, vers)
 	}
-	// Before the window: gone for good.
-	if _, err := s.Tail(m.ID, oldest-1); err == nil {
-		t.Error("Tail from before the retained window succeeded")
-	}
+	check("appended")
+	s = reopen(t, s)
+	check("reopened")
 }
 
 // testEdgeless runs an edgeless graph (n=5, m=0) through the whole
-// record life: Put, reopen, a vertex-growing append, appends past the
-// retained window (compaction on the disk backend), and a second
+// record life: Put, reopen, a vertex-growing append, appends to twice
+// the retained window (compaction on the disk backend), and a second
 // reopen. Every version must come back with the right shape and the
 // digest of an independently built graph.
 func testEdgeless(t *testing.T, s Store, reopen func(t *testing.T, s Store) Store) {
@@ -418,8 +468,8 @@ func testEdgeless(t *testing.T, s Store, reopen func(t *testing.T, s Store) Stor
 	}
 	check("reopen", 0, g)
 
-	// Grow the vertex set to 7, then cross RetainVersions=3.
-	batches := [][]graph.Edge{{{U: 0, V: 6}}, {{U: 1, V: 2}}, {{U: 3, V: 4}}, {{U: 5, V: 6}}}
+	// Grow the vertex set to 7, then reach 2×RetainVersions=6 appends.
+	batches := [][]graph.Edge{{{U: 0, V: 6}}, {{U: 1, V: 2}}, {{U: 3, V: 4}}, {{U: 5, V: 6}}, {{U: 2, V: 5}}, {{U: 0, V: 1}}}
 	prev := v0
 	b := graph.NewBuilder(7)
 	for _, batch := range batches {

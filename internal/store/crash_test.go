@@ -18,9 +18,10 @@ import (
 // to a prefix of the reference lineage — the pre-batch or post-batch
 // state of whichever append was in flight, never a third thing.
 //
-// The workload is sized to cross the retention window (RetainVersions=3,
-// six appends, SyncCompaction), so the sweep covers both compaction
-// renames and the snapshot rewrite, not just the WAL append path.
+// The workload is sized to compact twice (RetainVersions=3, ten appends,
+// SyncCompaction: compactions at appends 6 and 10), so the sweep covers
+// both compaction renames and the snapshot rewrite — including a fold
+// onto an already rebased snapshot — not just the WAL append path.
 
 // sweepN is the vertex count of the sweep's base path graph.
 const sweepN = 8
@@ -36,6 +37,10 @@ func sweepBatches() [][]graph.Edge {
 		{{U: 0, V: 4}, {U: 2, V: 6}},
 		{{U: 1, V: 5}, {U: 3, V: 7}},
 		{{U: 0, V: 7}, {U: 1, V: 6}},
+		{{U: 0, V: 3}, {U: 1, V: 4}},
+		{{U: 2, V: 5}, {U: 3, V: 6}},
+		{{U: 4, V: 7}, {U: 0, V: 6}},
+		{{U: 1, V: 7}, {U: 2, V: 7}},
 	}
 }
 
@@ -195,6 +200,11 @@ func TestCrashPointSweep(t *testing.T) {
 		if hits[must] == 0 {
 			t.Fatalf("workload never hit site %s — the sweep would not cover it", must)
 		}
+	}
+	// One snapshot from Put, one per compaction: the second compaction
+	// folds onto a snapshot the first one already rebased.
+	if got := hits["rename:"+mapFile]; got != 3 {
+		t.Fatalf("workload renamed %s %d times, want 3 (Put and two compactions)", mapFile, got)
 	}
 	points := 0
 	for _, site := range rec.Sites() {

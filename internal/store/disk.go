@@ -67,8 +67,9 @@ type snapMeta struct {
 
 // Disk is the durable Store: per-graph snapshot + WAL under one data
 // directory, with LRU eviction deleting graph directories and a
-// compaction worker folding WAL batches that outgrow the retained
-// version window into a fresh snapshot.
+// compaction worker that, once a graph's WAL holds a full extra window
+// of batches retired from the retained version window, folds them into
+// a fresh snapshot — one snapshot rewrite per RetainVersions appends.
 type Disk struct {
 	dir string
 	cfg Config
@@ -152,8 +153,9 @@ func Open(dir string, cfg Config) (*Disk, error) {
 	}
 	s.wg.Add(1)
 	go s.compactor()
-	// Anything already past the window (e.g. killed before a pending
-	// compaction) is folded now.
+	// A WAL already past the compaction trigger (e.g. killed before a
+	// pending compaction) is folded now; one that only holds retired
+	// batches below it is left as is — the window hides them.
 	for _, rec := range recs {
 		s.maybeCompact(rec.meta.ID, rec)
 	}
@@ -407,7 +409,8 @@ func (s *Disk) writeFileAtomic(path string, data []byte) error {
 }
 
 // syncDir flushes directory metadata (renames, creates); best-effort on
-// platforms where directories cannot be fsync'd.
+// platforms where directories cannot be fsync'd. Compaction's sync
+// between its two renames is the exception: it checks the error.
 func (s *Disk) syncDir(dir string) {
 	s.fs.SyncDir(dir)
 }
@@ -564,10 +567,16 @@ func (s *Disk) rollbackWAL(id string, ws *walState) {
 }
 
 // maybeCompact schedules (or, with SyncCompaction, runs) a compaction
-// if the graph's WAL has outgrown the retained version window.
+// once the graph's WAL holds a full extra window of retired batches —
+// the snapshot plus its batches span more than 2×RetainVersions
+// versions. A compaction rewrites the whole snapshot, so waiting for a
+// full window pays for it once per RetainVersions appends, while the
+// record, the WAL replay and every overlay stay bounded by
+// 2×RetainVersions batches. Retired batches are unreadable either way:
+// retention is the window, not the compaction.
 func (s *Disk) maybeCompact(id string, r *record) {
 	r.mu.Lock()
-	over := len(r.batches)+1 > s.cfg.RetainVersions
+	over := len(r.batches)+1 > 2*s.cfg.RetainVersions
 	r.mu.Unlock()
 	if !over {
 		return
@@ -607,11 +616,12 @@ func (s *Disk) compactor() {
 // fresh snapshot at the window's oldest version, then rewrites the WAL
 // with only the remaining batches. Runs under the record lock: appends
 // to this graph stall for one streamed snapshot write + one WAL
-// rewrite, other graphs are unaffected. Crash-safe: the snapshot lands first (old WAL
-// records it already covers are skipped on open by their version), the
-// WAL rename second. A failure leaves the pre-compaction files fully
-// valid — the error is reported so a persistently failing compaction
-// (ENOSPC) is visible instead of a silently growing WAL.
+// rewrite, other graphs are unaffected. Crash-safe: the snapshot lands
+// first and its rename is made durable (old WAL records it already
+// covers are skipped on open by their version), the WAL rename second.
+// A failure leaves the pre-compaction files fully valid — the error is
+// reported so a persistently failing compaction (ENOSPC) is visible
+// instead of a silently growing WAL.
 func (s *Disk) compact(id string) error {
 	s.mu.Lock()
 	r, ok := s.t.recs[id]
@@ -650,6 +660,15 @@ func (s *Disk) compact(id string) error {
 	mpath := filepath.Join(gdir, mapFile)
 	if err := s.writeMappedAtomic(mpath, base, target.N, r.appended[:targetOff], metaRaw); err != nil {
 		return fmt.Errorf("write snapshot: %w", err)
+	}
+	// The snapshot rename must be durable before the WAL rename: a power
+	// loss that kept only the second would leave the old snapshot beside
+	// a WAL starting past its version — a gap Open refuses. So this sync
+	// is not best-effort: on failure the old WAL stays, which the new
+	// snapshot recovers with (its covered records are skipped by
+	// version), and the in-memory record is not swapped.
+	if err := s.fs.SyncDir(gdir); err != nil {
+		return fmt.Errorf("sync snapshot rename: %w", err)
 	}
 	newHandle, err := s.openMapped(mpath)
 	if err != nil {

@@ -8,10 +8,10 @@
 // restart. Disk (Open) is durable: each graph keeps a WCCM1 snapshot
 // file, served straight off its mapping, plus an fsync'd append-only
 // write-ahead log of edge batches, both digest-verified on open, with
-// compaction folding WAL batches into a fresh snapshot once they
-// outgrow the retained version window. A wccserve restarted on the
-// same data directory rebuilds the exact graphs, versions, and digests
-// it served before the kill.
+// compaction folding retired WAL batches into a fresh snapshot once a
+// full extra retained window of them has piled up. A wccserve restarted
+// on the same data directory rebuilds the exact graphs, versions, and
+// digests it served before the kill.
 //
 // Both backends share the same semantics, enforced by one conformance
 // suite: content-addressed records, LRU eviction by last access under
@@ -73,12 +73,16 @@ type Config struct {
 	// RetainVersions is the length of the retained version window per
 	// graph (the service passes MaxVersionGap+1). Versions that fall
 	// out of the window can no longer be materialized or used as
-	// fast-forward anchors; the disk backend compacts their WAL batches
-	// into the snapshot. Zero or negative selects 65 (gap 64).
+	// fast-forward anchors. It also sets the disk backend's compaction
+	// cadence: once a graph's WAL holds a full extra window of retired
+	// batches (more than 2×RetainVersions versions in all), they are
+	// folded into the snapshot — one snapshot rewrite per
+	// RetainVersions appends, and at most 2×RetainVersions batches held
+	// per graph. Zero or negative selects 65 (gap 64).
 	RetainVersions int
-	// SyncCompaction makes the disk backend compact inline during
-	// Append instead of on the background goroutine — deterministic
-	// for tests; ignored by the memory backend.
+	// SyncCompaction makes the disk backend run a due compaction inline
+	// during Append (and Open) instead of on the background goroutine —
+	// deterministic for tests; ignored by the memory backend.
 	SyncCompaction bool
 	// FS is the filesystem seam the disk backend performs every
 	// operation through. Nil selects the real filesystem (fault.OS);
@@ -169,7 +173,9 @@ func DigestGraph(g *graph.Graph) string { return DigestView(g) }
 // canonical edge order without materializing — how the disk backend
 // re-verifies a mapped snapshot's content digest on open while keeping
 // the adjacency out of the heap. The two functions agree byte for byte
-// on equal edge multisets.
+// on equal edge multisets, because graph.ForEachEdgeView scans every
+// View the graph package builds — a mapped snapshot, or an Overlay of
+// WAL batches on one — in the canonical sorted order.
 func DigestView(v graph.View) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%d %d\n", v.NumVertices(), v.NumEdges())
