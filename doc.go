@@ -59,9 +59,14 @@
 // absorbs an edge batch through an incremental union-find
 // (internal/dynamic) in near-O(α) amortized time per edge, bumps the
 // version (chained digest), and fast-forwards cached labelings across
-// the batch via dynamic.MergeLabels instead of invalidating them —
-// connectivity under insertions is monotone, so the forwarded labeling
-// is bit-identical (up to canonical relabeling) to a fresh full solve.
+// the batch instead of invalidating them. Each version holds one
+// partition into components, shared by every cached configuration: an
+// append forwards it once (dynamic.MergePartition) or, when the batch
+// merged nothing, the new version shares its parent's. Connectivity
+// under insertions is monotone, so the forwarded partition is
+// bit-identical (up to canonical relabeling) to a fresh full solve, and
+// a second algorithm's solve of a version is checked against the
+// partition already held there.
 // Version metadata (including the component-merge history) is bounded by
 // the -max-version-gap threshold; beyond it the service falls back to a
 // registry re-solve. gen.TraceSpec describes reproducible churn

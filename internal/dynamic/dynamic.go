@@ -121,24 +121,63 @@ func (e *Engine) Labels() []graph.Vertex { return e.uf.Labels() }
 func (e *Engine) History() []Merge { return e.merges }
 
 // MergeLabels fast-forwards a dense component labeling across an appended
-// edge batch without touching the underlying graph: labels is a labeling
-// of the first len(labels) vertices (len(labels) components = count),
-// newN >= len(labels) extends the vertex set with isolated newcomers, and
-// batch is the appended edges over [0, newN). It returns the canonical
-// dense labeling of the appended graph and its component count.
+// edge batch without touching the underlying graph: labels is a dense
+// labeling of the first len(labels) vertices (every label in [0,count)
+// used), newN >= len(labels) extends the vertex set with isolated
+// newcomers, and batch is the appended edges over [0, newN). It returns
+// the canonical labeling of the appended graph — labels assigned in
+// order of first appearance by vertex, whatever order the input used —
+// and its component count. The input is never modified.
 //
 // The work is O(newN + |batch|·α) — independent of the edge count of the
-// underlying graph — which is why the service's cached labelings survive
-// appends instead of being invalidated: a delta-merge costs a relabel
-// pass, a full re-solve costs an entire MPC simulation.
+// underlying graph — and every remap is a slice indexed by component, so
+// the only allocations are the output and tables of count+grown entries. The
+// service forwards one shared partition per version through
+// MergePartition, which wraps this pass.
 func MergeLabels(labels []graph.Vertex, count int, batch []graph.Edge, newN int) ([]graph.Vertex, int, error) {
+	out, _, sets, err := mergeLabels(labels, count, batch, newN)
+	return out, sets, err
+}
+
+// MergePartition is MergeLabels for a labeling that carries its component
+// sizes: sizes[c] is the number of vertices labeled c (len(sizes) is the
+// component count). It returns the canonical labeling of the appended
+// graph and its size table. The new sizes are folded from the old ones
+// component by component, in O(len(sizes) + grown vertices), instead of
+// rescanning the n output labels.
+func MergePartition(labels []graph.Vertex, sizes []int, batch []graph.Edge, newN int) ([]graph.Vertex, []int, error) {
+	count := len(sizes)
+	out, newOf, sets, err := mergeLabels(labels, count, batch, newN)
+	if err != nil {
+		return nil, nil, err
+	}
+	newSizes := make([]int, sets)
+	for c, nl := range newOf {
+		switch {
+		case c >= count:
+			newSizes[nl]++ // a grown singleton
+		case nl >= 0:
+			newSizes[nl] += sizes[c]
+		case sizes[c] != 0:
+			return nil, nil, fmt.Errorf("dynamic: component %d has size %d but labels no vertex", c, sizes[c])
+		}
+	}
+	return out, newSizes, nil
+}
+
+// mergeLabels is the pass behind MergeLabels and MergePartition. Besides
+// the output labeling and the component count it returns newOf: for each
+// old component c < count, and for each grown vertex at count+i, the
+// output label it became (-1 only for a component no vertex carries).
+func mergeLabels(labels []graph.Vertex, count int, batch []graph.Edge, newN int) (out, newOf []graph.Vertex, sets int, err error) {
 	oldN := len(labels)
 	if newN < oldN {
-		return nil, 0, fmt.Errorf("dynamic: newN %d below current vertex count %d", newN, oldN)
+		return nil, nil, 0, fmt.Errorf("dynamic: newN %d below current vertex count %d", newN, oldN)
 	}
 	// Component-level forest: one element per existing component plus one
 	// per grown vertex.
-	uf := graph.NewUnionFind(count + newN - oldN)
+	k := count + newN - oldN
+	uf := graph.NewUnionFind(k)
 	labelOf := func(v graph.Vertex) (graph.Vertex, error) {
 		switch {
 		case v < 0 || int(v) >= newN:
@@ -156,27 +195,43 @@ func MergeLabels(labels []graph.Vertex, count int, batch []graph.Edge, newN int)
 	for _, e := range batch {
 		lu, err := labelOf(e.U)
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, 0, err
 		}
 		lv, err := labelOf(e.V)
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, 0, err
 		}
 		uf.Union(lu, lv)
 	}
-	out := make([]graph.Vertex, newN)
-	remap := make(map[graph.Vertex]graph.Vertex, uf.Sets())
+	// newOf doubles as the first-appearance table: an element's entry is
+	// set the first time a vertex carrying it is scanned, and a root's
+	// entry the first time any member of its set is, so each label costs
+	// one Find, not each vertex.
+	newOf = make([]graph.Vertex, k)
+	for i := range newOf {
+		newOf[i] = -1
+	}
+	out = make([]graph.Vertex, newN)
 	next := graph.Vertex(0)
 	for v := 0; v < newN; v++ {
-		l, _ := labelOf(graph.Vertex(v)) // range-checked above; v is in range
-		r := uf.Find(l)
-		canon, ok := remap[r]
-		if !ok {
-			canon = next
-			remap[r] = canon
-			next++
+		c := graph.Vertex(count + v - oldN)
+		if v < oldN {
+			c = labels[v]
+			if c < 0 || int(c) >= count {
+				return nil, nil, 0, fmt.Errorf("dynamic: label %d of vertex %d outside [0,%d)", c, v, count)
+			}
 		}
-		out[v] = canon
+		nl := newOf[c]
+		if nl < 0 {
+			r := uf.Find(c)
+			if nl = newOf[r]; nl < 0 {
+				nl = next
+				next++
+				newOf[r] = nl
+			}
+			newOf[c] = nl
+		}
+		out[v] = nl
 	}
-	return out, uf.Sets(), nil
+	return out, newOf, uf.Sets(), nil
 }

@@ -160,6 +160,56 @@ func TestMergeLabelsMatchesFullRecompute(t *testing.T) {
 	}
 }
 
+// TestMergeLabelsPropertyNonCanonicalGrow: fed a dense labeling whose
+// label values are a random permutation of the canonical ones, and
+// batches that grow the vertex set, MergeLabels still returns exactly
+// the canonical labeling graph.Components computes for base+batch, and
+// MergePartition's folded sizes equal a rescan of that labeling. The
+// input labeling is never modified.
+func TestMergeLabelsPropertyNonCanonicalGrow(t *testing.T) {
+	rng := rand.New(rand.NewPCG(29, 6))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.IntN(60)
+		base := make([]graph.Edge, rng.IntN(n))
+		for i := range base {
+			base[i] = graph.Edge{U: graph.Vertex(rng.IntN(n)), V: graph.Vertex(rng.IntN(n))}
+		}
+		canon, count := graph.Components(graph.FromEdges(n, base))
+		perm := rng.Perm(count)
+		labels := make([]graph.Vertex, n)
+		for v, l := range canon {
+			labels[v] = graph.Vertex(perm[l])
+		}
+		sizes := graph.ComponentSizes(labels, count)
+		input := slices.Clone(labels)
+
+		newN := n + rng.IntN(4)
+		batch := make([]graph.Edge, rng.IntN(8))
+		for i := range batch {
+			batch[i] = graph.Edge{U: graph.Vertex(rng.IntN(newN)), V: graph.Vertex(rng.IntN(newN))}
+		}
+		want, wantCount := graph.Components(graph.FromEdges(newN, append(base, batch...)))
+
+		got, gotCount, err := MergeLabels(labels, count, batch, newN)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if gotCount != wantCount || !slices.Equal(got, want) {
+			t.Fatalf("trial %d: MergeLabels = %v (%d), graph.Components = %v (%d)", trial, got, gotCount, want, wantCount)
+		}
+		pl, ps, err := MergePartition(labels, sizes, batch, newN)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !slices.Equal(pl, want) || !slices.Equal(ps, graph.ComponentSizes(want, wantCount)) {
+			t.Fatalf("trial %d: MergePartition sizes %v, want %v", trial, ps, graph.ComponentSizes(want, wantCount))
+		}
+		if !slices.Equal(labels, input) {
+			t.Fatalf("trial %d: input labeling modified", trial)
+		}
+	}
+}
+
 func TestMergeLabelsRejectsBadInput(t *testing.T) {
 	labels := []graph.Vertex{0, 1}
 	if _, _, err := MergeLabels(labels, 2, nil, 1); err == nil {
@@ -170,6 +220,12 @@ func TestMergeLabelsRejectsBadInput(t *testing.T) {
 	}
 	if _, _, err := MergeLabels([]graph.Vertex{0, 7}, 2, []graph.Edge{{U: 0, V: 1}}, 2); err == nil {
 		t.Fatalf("corrupt label must fail")
+	}
+	if _, _, err := MergeLabels([]graph.Vertex{0, 7}, 2, nil, 2); err == nil {
+		t.Fatalf("corrupt label off the batch must fail")
+	}
+	if _, _, err := MergePartition([]graph.Vertex{0, 0}, []int{2, 1}, nil, 2); err == nil {
+		t.Fatalf("a size for a component no vertex carries must fail")
 	}
 }
 

@@ -8,16 +8,20 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/graph"
 )
 
-// Labeling is one cached solve: the exact component labeling of a stored
-// graph version under a (algo, seed, λ, memory) configuration, with
-// component sizes precomputed so every query answers in O(1). Labelings
-// are immutable once cached; an edge append produces a NEW labeling for
-// the new version (via dynamic.MergeLabels) rather than mutating this
-// one, so concurrent queries never observe a half-merged state.
+// Labeling is one cached solve: a (algo, seed, λ, memory) configuration
+// header for one stored graph version, pointing at that version's
+// partition into connected components. Every exact algorithm yields the
+// same partition, so configurations cached at one version share one
+// partition value (see partition) — the header is all that is
+// per-configuration. Labelings are immutable once cached; an edge
+// append produces a NEW labeling for the new version rather than
+// mutating this one, so concurrent queries never observe a half-merged
+// state.
 type Labeling struct {
 	// GraphID identifies the stored graph that was solved.
 	GraphID string
@@ -28,8 +32,6 @@ type Labeling struct {
 	Seed   uint64
 	Lambda float64
 	Memory int
-	// Components is the number of connected components.
-	Components int
 	// Rounds is the MPC rounds the solve charged.
 	Rounds int
 	// PeakEdges is the solve's peak materialized edge set.
@@ -43,10 +45,65 @@ type Labeling struct {
 	// comparable struct, so neither building it nor looking it up
 	// allocates (the old fmt.Sprintf string key cost two allocations per
 	// query).
-	key    labelingKey
-	labels []graph.Vertex
-	sizes  []int    // sizes[c] = vertices labeled c
-	hist   [][2]int // (size, count) pairs ascending, precomputed for O(1) queries
+	key labelingKey
+	// The version's shared partition; its Components field is promoted
+	// as the labeling's component count.
+	*partition
+}
+
+// partition is one graph version's partition into connected components:
+// the dense vertex labels with component sizes and the size histogram
+// precomputed, so every query answers in O(1). It is immutable and
+// shared by pointer between every cached configuration of the version,
+// and — when an appended batch merged no two components and added no
+// vertex — between the version and its parent. The label values
+// themselves are an implementation detail: two partitions are equal when
+// they group the vertices the same way (samePartition), whatever labels
+// they use.
+type partition struct {
+	// Components is the number of connected components.
+	Components int
+	labels     []graph.Vertex
+	sizes      []int    // sizes[c] = vertices labeled c
+	hist       [][2]int // (size, count) pairs ascending
+}
+
+func newPartition(labels []graph.Vertex, sizes []int) *partition {
+	return &partition{Components: len(sizes), labels: labels, sizes: sizes, hist: graph.SizeHistogramOf(sizes)}
+}
+
+// bytes is the memory the partition's per-vertex and per-component
+// tables hold (labels plus sizes) — what /v1/stats reports.
+func (p *partition) bytes() int64 {
+	return int64(len(p.labels))*int64(unsafe.Sizeof(graph.Vertex(0))) + int64(len(p.sizes))*int64(unsafe.Sizeof(0))
+}
+
+// samePartition reports whether labels (a dense labeling with count
+// components) groups the vertices exactly as p does. It builds the label
+// bijection in both directions over slices indexed by label: O(n +
+// components), no map.
+func (p *partition) samePartition(labels []graph.Vertex, count int) bool {
+	if len(labels) != len(p.labels) || count != p.Components {
+		return false
+	}
+	fwd := make([]graph.Vertex, 2*count)
+	for i := range fwd {
+		fwd[i] = -1
+	}
+	fwd, bwd := fwd[:count], fwd[count:]
+	for v, a := range p.labels {
+		b := labels[v]
+		if b < 0 || int(b) >= count {
+			return false
+		}
+		switch {
+		case fwd[a] < 0 && bwd[b] < 0:
+			fwd[a], bwd[b] = b, a
+		case fwd[a] != b || bwd[b] != a:
+			return false
+		}
+	}
+	return true
 }
 
 // SameComponent reports whether u and v share a component.
@@ -66,14 +123,6 @@ func (l *Labeling) ComponentSize(u graph.Vertex) (int, error) {
 		return 0, err
 	}
 	return l.sizes[l.labels[u]], nil
-}
-
-// ComponentOf returns u's dense component label.
-func (l *Labeling) ComponentOf(u graph.Vertex) (graph.Vertex, error) {
-	if err := l.checkVertex(u); err != nil {
-		return 0, err
-	}
-	return l.labels[u], nil
 }
 
 func (l *Labeling) checkVertex(u graph.Vertex) error {
@@ -307,4 +356,42 @@ func (c *cache) withDigestPrefix(digest string) []*Labeling {
 		sh.mu.RUnlock()
 	}
 	return out
+}
+
+// partitionAt returns the partition a cached configuration holds at the
+// version whose decoded digest is d, or nil when none does. The solve
+// and lazy fast-forward paths probe it before caching a new labeling;
+// like withDigestPrefix it is an O(entries) sweep off the query path.
+func (c *cache) partitionAt(d [sha256Len]byte) *partition {
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.RLock()
+		for k, e := range sh.entries {
+			if k.digest == d {
+				sh.mu.RUnlock()
+				return e.l.partition
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return nil
+}
+
+// partitions returns the number of distinct partitions the cached
+// labelings point at and the bytes those partitions hold — the
+// /v1/stats view of how much sharing saves.
+func (c *cache) partitions() (count int, bytes int64) {
+	seen := make(map[*partition]struct{})
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.RLock()
+		for _, e := range sh.entries {
+			if _, ok := seen[e.l.partition]; !ok {
+				seen[e.l.partition] = struct{}{}
+				bytes += e.l.partition.bytes()
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return len(seen), bytes
 }

@@ -760,6 +760,7 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		hitRatio = float64(c.CacheHits) / float64(looked)
 	}
 	cachedLabelings := s.CachedLabelings()
+	partitions, partitionBytes := s.cache.partitions()
 	degraded, degradedCause := s.Degraded()
 	inflight := 0
 	if s.slots != nil {
@@ -782,6 +783,17 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		"incrementalMerges": c.IncrementalMerges,
 		"cachedLabelings":   cachedLabelings,
 		"graphs":            s.GraphCount(),
+		// One partition per version, shared by its configurations and,
+		// across appends that merged nothing, by consecutive versions:
+		// how many distinct ones the cache holds, the bytes of their
+		// labels and sizes, and the forward/share/mismatch counters.
+		"partitions": map[string]any{
+			"distinct":   partitions,
+			"bytes":      partitionBytes,
+			"relabels":   c.PartitionRelabels,
+			"shares":     c.PartitionShares,
+			"mismatches": c.PartitionMismatches,
+		},
 		// Per-shard cache occupancy: a single hot stripe means the key
 		// mix defeats the shard hash; uniformly full stripes mean
 		// -cache-entries is the bottleneck.

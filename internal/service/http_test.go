@@ -217,7 +217,8 @@ func TestHTTPQueryBatch(t *testing.T) {
 }
 
 // TestHTTPStatsCacheVisibility checks the operator-facing cache stats:
-// hit ratio and per-shard occupancy, sized by config.
+// hit ratio and per-shard occupancy, sized by config, and the partitions
+// block: two configurations solved at one version hold one partition.
 func TestHTTPStatsCacheVisibility(t *testing.T) {
 	svc := New(Config{JobWorkers: 1, CacheEntries: 8, CacheShards: 4})
 	defer svc.Close()
@@ -229,8 +230,10 @@ func TestHTTPStatsCacheVisibility(t *testing.T) {
 		ID string `json:"id"`
 	}
 	httpJSON(t, client, "POST", srv.URL+"/v1/graphs?name=two", twoComponents, http.StatusOK, &g)
-	httpJSON(t, client, "POST", srv.URL+"/v1/solve",
-		fmt.Sprintf(`{"graph":%q,"algo":"boruvka","wait":true}`, g.ID), http.StatusOK, nil)
+	for _, algo := range []string{"boruvka", "labelprop"} {
+		httpJSON(t, client, "POST", srv.URL+"/v1/solve",
+			fmt.Sprintf(`{"graph":%q,"algo":%q,"wait":true}`, g.ID, algo), http.StatusOK, nil)
+	}
 	for i := 0; i < 3; i++ {
 		httpJSON(t, client, "GET",
 			fmt.Sprintf("%s/v1/query/component-count?graph=%s&algo=boruvka", srv.URL, g.ID),
@@ -244,6 +247,11 @@ func TestHTTPStatsCacheVisibility(t *testing.T) {
 			Capacity int   `json:"capacity"`
 			Shards   []int `json:"shards"`
 		} `json:"cache"`
+		Partitions struct {
+			Distinct   int   `json:"distinct"`
+			Bytes      int64 `json:"bytes"`
+			Mismatches int64 `json:"mismatches"`
+		} `json:"partitions"`
 	}
 	httpJSON(t, client, "GET", srv.URL+"/v1/stats", "", http.StatusOK, &stats)
 	if stats.CacheHitRatio <= 0 || stats.CacheHitRatio > 1 {
@@ -256,8 +264,12 @@ func TestHTTPStatsCacheVisibility(t *testing.T) {
 	for _, occ := range stats.Cache.Shards {
 		sum += occ
 	}
-	if sum != stats.Cache.Entries || stats.Cache.Entries != 1 {
-		t.Errorf("shard occupancy %v must sum to entries %d (want 1)", stats.Cache.Shards, stats.Cache.Entries)
+	if sum != stats.Cache.Entries || stats.Cache.Entries != 2 {
+		t.Errorf("shard occupancy %v must sum to entries %d (want 2)", stats.Cache.Shards, stats.Cache.Entries)
+	}
+	// 10 vertices of 4-byte labels plus 2 components of 8-byte sizes.
+	if p := stats.Partitions; p.Distinct != 1 || p.Bytes != 10*4+2*8 || p.Mismatches != 0 {
+		t.Errorf("partitions stats: %+v, want 1 distinct partition of 56 bytes", p)
 	}
 }
 

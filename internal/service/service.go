@@ -344,6 +344,16 @@ type Counters struct {
 	EdgeBatches       int64
 	EdgesAppended     int64
 	IncrementalMerges int64
+	// PartitionRelabels counts O(n) partition forwards (one per distinct
+	// partition per append, however many configurations share it);
+	// PartitionShares counts forwards that merged nothing, where the new
+	// version took its parent's partition as is. PartitionMismatches
+	// counts results that disagreed with the partition already cached
+	// for their version — each one a solver or forwarding bug, logged
+	// and never served.
+	PartitionRelabels   int64
+	PartitionShares     int64
+	PartitionMismatches int64
 	// PanicsRecovered counts handler panics the recovery middleware
 	// turned into 500s; AdmissionRejected counts requests shed with 429;
 	// StoreRetries counts transient storage failures the append path
@@ -465,6 +475,9 @@ type Service struct {
 		jobsFailed, batchQueries         atomic.Int64
 		edgeBatches, edgesAppended       atomic.Int64
 		incrementalMerges                atomic.Int64
+		partitionRelabels                atomic.Int64
+		partitionShares                  atomic.Int64
+		partitionMismatches              atomic.Int64
 		panicsRecovered, storeRetries    atomic.Int64
 		admissionRejected                atomic.Int64
 		degradedEvents                   atomic.Int64
@@ -672,23 +685,26 @@ func (s *Service) StartDrain() {
 // Counters snapshots the service statistics.
 func (s *Service) Counters() Counters {
 	return Counters{
-		GraphsLoaded:      s.counters.graphsLoaded.Load(),
-		GraphsGenerated:   s.counters.graphsGenerated.Load(),
-		Solves:            s.counters.solves.Load(),
-		CacheHits:         s.counters.cacheHits.Load(),
-		CacheMisses:       s.counters.cacheMisses.Load(),
-		Queries:           s.counters.queries.Load(),
-		BatchQueries:      s.counters.batchQueries.Load(),
-		JobsSubmitted:     s.counters.jobsSubmitted.Load(),
-		JobsDone:          s.counters.jobsDone.Load(),
-		JobsFailed:        s.counters.jobsFailed.Load(),
-		EdgeBatches:       s.counters.edgeBatches.Load(),
-		EdgesAppended:     s.counters.edgesAppended.Load(),
-		IncrementalMerges: s.counters.incrementalMerges.Load(),
-		PanicsRecovered:   s.counters.panicsRecovered.Load(),
-		AdmissionRejected: s.counters.admissionRejected.Load(),
-		StoreRetries:      s.counters.storeRetries.Load(),
-		DegradedEvents:    s.counters.degradedEvents.Load(),
+		GraphsLoaded:        s.counters.graphsLoaded.Load(),
+		GraphsGenerated:     s.counters.graphsGenerated.Load(),
+		Solves:              s.counters.solves.Load(),
+		CacheHits:           s.counters.cacheHits.Load(),
+		CacheMisses:         s.counters.cacheMisses.Load(),
+		Queries:             s.counters.queries.Load(),
+		BatchQueries:        s.counters.batchQueries.Load(),
+		JobsSubmitted:       s.counters.jobsSubmitted.Load(),
+		JobsDone:            s.counters.jobsDone.Load(),
+		JobsFailed:          s.counters.jobsFailed.Load(),
+		EdgeBatches:         s.counters.edgeBatches.Load(),
+		EdgesAppended:       s.counters.edgesAppended.Load(),
+		IncrementalMerges:   s.counters.incrementalMerges.Load(),
+		PartitionRelabels:   s.counters.partitionRelabels.Load(),
+		PartitionShares:     s.counters.partitionShares.Load(),
+		PartitionMismatches: s.counters.partitionMismatches.Load(),
+		PanicsRecovered:     s.counters.panicsRecovered.Load(),
+		AdmissionRejected:   s.counters.admissionRejected.Load(),
+		StoreRetries:        s.counters.storeRetries.Load(),
+		DegradedEvents:      s.counters.degradedEvents.Load(),
 	}
 }
 
@@ -1113,24 +1129,53 @@ func (s *Service) solve(spec SolveSpec) (*Labeling, bool, error) {
 	canon := algo.CanonicalOptions(spec.Algo, algo.Options{
 		Lambda: spec.Lambda, Seed: spec.Seed, Memory: spec.Memory,
 	})
-	sizes := graph.ComponentSizes(res.Labels, res.Components)
 	l := &Labeling{
-		GraphID:    sg.ID,
-		Version:    ref.info.Version,
-		Algo:       spec.Algo,
-		Seed:       canon.Seed,
-		Lambda:     canon.Lambda,
-		Memory:     canon.Memory,
-		Components: res.Components,
-		Rounds:     res.Rounds,
-		PeakEdges:  res.PeakEdges,
-		key:        key,
-		labels:     res.Labels,
-		sizes:      sizes,
-		hist:       graph.SizeHistogramOf(sizes),
+		GraphID:   sg.ID,
+		Version:   ref.info.Version,
+		Algo:      spec.Algo,
+		Seed:      canon.Seed,
+		Lambda:    canon.Lambda,
+		Memory:    canon.Memory,
+		Rounds:    res.Rounds,
+		PeakEdges: res.PeakEdges,
+		key:       key,
+		partition: newPartition(res.Labels, graph.ComponentSizes(res.Labels, res.Components)),
+	}
+	if err := s.internLabeling(l); err != nil {
+		return nil, false, err
+	}
+	return l, false, nil
+}
+
+// internLabeling caches l unless it contradicts the partition another
+// configuration already holds for the same version. Every exact
+// algorithm yields the same partition, so a second configuration solved
+// (or forwarded) at a version is a free differential check against the
+// first: if the two group the vertices alike, l switches to the held
+// partition and the version keeps one; if they differ, one of the two is
+// wrong, and l is neither cached nor served — the mismatch is counted,
+// logged, and returned. With no partition held at the version, l is
+// cached as is and no extra pass runs.
+func (s *Service) internLabeling(l *Labeling) error {
+	if held := s.cache.partitionAt(l.key.digest); held != nil && held != l.partition {
+		if !held.samePartition(l.labels, l.Components) {
+			return s.partitionMismatch(fmt.Errorf("%s labeling of graph %s version %d (%d components) contradicts the cached partition (%d components)",
+				l.Algo, l.GraphID, l.Version, l.Components, held.Components))
+		}
+		l.partition = held
 	}
 	s.cache.put(l)
-	return l, false, nil
+	return nil
+}
+
+// partitionMismatch counts and loudly logs a result that disagrees with
+// the connectivity the service already holds, returning the error the
+// caller reports instead of serving it.
+func (s *Service) partitionMismatch(err error) error {
+	s.counters.partitionMismatches.Add(1)
+	err = fmt.Errorf("service: partition mismatch, result discarded: %w", err)
+	s.cfg.Logf("service: CORRECTNESS BUG: %v", err)
+	return err
 }
 
 // find runs one algorithm on one retained version. Every view-capable

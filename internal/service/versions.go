@@ -339,13 +339,7 @@ func (s *Service) commitLocked(sg *StoredGraph, vers []VersionInfo, prev, info V
 	// append always sees this version's labelings when it sweeps
 	// withDigestPrefix. Queries never take sg.mu, so the longer critical
 	// section delays only sibling appends, which serialize anyway.
-	targetKey := decodeDigest(info.Digest)
-	for _, l := range s.cache.withDigestPrefix(prev.Digest) {
-		if fwd, err := s.forwardLabeling(l, info, targetKey, batch); err == nil {
-			s.cache.put(fwd)
-			s.counters.incrementalMerges.Add(1)
-		}
-	}
+	s.forwardCached(prev.Digest, info, batch)
 	// Republish the window snapshot with the same retention the store
 	// applies, so queries see the new version (and stop seeing trimmed
 	// ones) without a store call.
@@ -357,47 +351,96 @@ func (s *Service) commitLocked(sg *StoredGraph, vers []VersionInfo, prev, info V
 	return nil
 }
 
-// forwardLabeling fast-forwards one immutable cached labeling across a
-// single appended batch, producing the labeling of the target version
-// (whose decoded digest the caller supplies for the new cache key).
-func (s *Service) forwardLabeling(l *Labeling, target VersionInfo, targetKey [sha256Len]byte, batch []graph.Edge) (*Labeling, error) {
-	labels, count, err := dynamic.MergeLabels(l.labels, l.Components, batch, target.N)
+// forwardCached fast-forwards every cached labeling of the version with
+// digest prevDigest across one appended batch to the target version.
+// Labelings that share a partition share its forward: each distinct
+// partition is forwarded once, and each labeling only gets a new header.
+func (s *Service) forwardCached(prevDigest string, target VersionInfo, batch []graph.Edge) {
+	targetKey := decodeDigest(target.Digest)
+	// A version holds few distinct partitions, usually one; a failed
+	// forward is remembered as a nil target so it is not retried.
+	type forward struct{ from, to *partition }
+	var done []forward
+	for _, l := range s.cache.withDigestPrefix(prevDigest) {
+		i := 0
+		for i < len(done) && done[i].from != l.partition {
+			i++
+		}
+		if i == len(done) {
+			to, _ := s.forwardPartition(l.partition, batch, target) // nil on failure
+			done = append(done, forward{l.partition, to})
+		}
+		if done[i].to == nil {
+			continue
+		}
+		if fwd, ok := s.forwardHeader(l, target.Version, targetKey, done[i].to); ok {
+			s.cache.put(fwd)
+			s.counters.incrementalMerges.Add(1)
+		}
+	}
+}
+
+// forwardPartition carries a partition across appended edges to the
+// target version. Components only merge, so if the target has as many
+// components as p and no new vertex, nothing merged and the target
+// shares p itself — no pass over the vertices at all. Otherwise the
+// partition is relabeled by dynamic.MergePartition, and its component
+// count is checked against the target's (the engine's count): a
+// disagreement is counted and logged as a partition mismatch and the
+// forward refused.
+func (s *Service) forwardPartition(p *partition, batch []graph.Edge, target VersionInfo) (*partition, error) {
+	if target.N == len(p.labels) && target.Components == p.Components {
+		s.counters.partitionShares.Add(1)
+		return p, nil
+	}
+	labels, sizes, err := dynamic.MergePartition(p.labels, p.sizes, batch, target.N)
 	if err != nil {
 		return nil, err
 	}
-	sizes := graph.ComponentSizes(labels, count)
+	s.counters.partitionRelabels.Add(1)
+	if len(sizes) != target.Components {
+		return nil, s.partitionMismatch(fmt.Errorf("forwarding to version %d reached %d components, the version records %d",
+			target.Version, len(sizes), target.Components))
+	}
+	return newPartition(labels, sizes), nil
+}
+
+// forwardHeader derives the labeling of the target version (whose
+// decoded digest the caller supplies for the new cache key) from a
+// labeling of an earlier version: the same configuration, pointing at
+// the forwarded partition p.
+func (s *Service) forwardHeader(l *Labeling, version int, targetKey [sha256Len]byte, p *partition) (*Labeling, bool) {
 	spec := SolveSpec{Algo: l.Algo, Lambda: l.Lambda, Seed: l.Seed, Memory: l.Memory}
 	key, ok := s.cacheKey(targetKey, spec)
 	if !ok {
-		return nil, fmt.Errorf("service: algorithm %q vanished from the registry", l.Algo)
+		return nil, false // the algorithm vanished from the registry
 	}
 	return &Labeling{
-		GraphID:    l.GraphID,
-		Version:    target.Version,
-		Algo:       l.Algo,
-		Seed:       l.Seed,
-		Lambda:     l.Lambda,
-		Memory:     l.Memory,
-		Components: count,
-		Rounds:     l.Rounds, // cost of the original solve; the merge charged none
-		PeakEdges:  l.PeakEdges,
-		Forwarded:  true,
-		key:        key,
-		labels:     labels,
-		sizes:      sizes,
-		hist:       graph.SizeHistogramOf(sizes),
-	}, nil
+		GraphID:   l.GraphID,
+		Version:   version,
+		Algo:      l.Algo,
+		Seed:      l.Seed,
+		Lambda:    l.Lambda,
+		Memory:    l.Memory,
+		Rounds:    l.Rounds, // cost of the original solve; the merge charged none
+		PeakEdges: l.PeakEdges,
+		Forwarded: true,
+		key:       key,
+		partition: p,
+	}, true
 }
 
 // fastForward tries to derive the labeling of the target version from a
 // cached labeling of an earlier retained version of the same graph,
 // replaying the retained appended batches (store.Delta) through
-// dynamic.MergeLabels. It walks nearest-first, so the replay spans as
-// few batches as possible. Success caches the forwarded labeling under
-// the target digest and counts one incremental merge; failure (nothing
-// cached inside the retention window) means the caller re-solves through
-// the registry — exactly the version-gap fallback the config threshold
-// describes.
+// forwardPartition — the append path's forward, so there is one. It
+// walks nearest-first, so the replay spans as few batches as possible.
+// Success caches the forwarded labeling under the target digest (through
+// internLabeling, so it shares and is checked against any partition
+// already cached there) and counts one incremental merge; failure
+// (nothing cached inside the retention window) means the caller
+// re-solves through the registry — exactly the version-gap fallback the
+// config threshold describes.
 //
 //wcc:coldpath
 func (s *Service) fastForward(sg *StoredGraph, target versionRef, spec SolveSpec) (*Labeling, bool) {
@@ -425,11 +468,14 @@ func (s *Service) fastForward(sg *StoredGraph, target versionRef, spec SolveSpec
 		if err != nil {
 			continue
 		}
-		fwd, err := s.forwardLabeling(l, target.info, target.key, delta)
+		p, err := s.forwardPartition(l.partition, delta, target.info)
 		if err != nil {
 			continue
 		}
-		s.cache.put(fwd)
+		fwd, ok := s.forwardHeader(l, target.info.Version, target.key, p)
+		if !ok || s.internLabeling(fwd) != nil {
+			return nil, false
+		}
 		s.counters.incrementalMerges.Add(1)
 		return fwd, true
 	}
