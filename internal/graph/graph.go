@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -252,33 +253,39 @@ func (b *Builder) AddEdges(edges []Edge) {
 
 // Build produces the immutable Graph via a two-pass counting sort, then
 // sorts each adjacency list so neighbor indexing is deterministic and
-// HasEdge can binary-search. Build may be called once.
+// HasEdge can binary-search. The per-vertex sort is the typed
+// slices.Sort, so Build allocates the same handful of slices whatever n
+// is. Build may be called once.
 func (b *Builder) Build() *Graph {
 	if b.built {
 		panic("graph: Build called twice")
 	}
 	b.built = true
-	offsets := make([]int64, b.n+1)
+	// Degrees are counted two slots up, so after the prefix sum
+	// offsets[v+1] is where v's adjacency starts. Placing a half-edge
+	// advances that slot, which leaves offsets[v+1] at v's end — the
+	// final CSR offsets — with no separate cursor array to touch.
+	offsets := make([]int64, b.n+2)
 	for i := range b.us {
-		offsets[b.us[i]+1]++
-		offsets[b.vs[i]+1]++
+		offsets[b.us[i]+2]++
+		offsets[b.vs[i]+2]++
 	}
-	for v := 0; v < b.n; v++ {
-		offsets[v+1] += offsets[v]
+	for v := 2; v < len(offsets); v++ {
+		offsets[v] += offsets[v-1]
 	}
-	adj := make([]Vertex, offsets[b.n])
-	cursor := make([]int64, b.n)
+	adj := make([]Vertex, offsets[b.n+1])
 	for i := range b.us {
 		u, v := b.us[i], b.vs[i]
-		adj[offsets[u]+cursor[u]] = v
-		cursor[u]++
-		adj[offsets[v]+cursor[v]] = u
-		cursor[v]++
+		adj[offsets[u+1]] = v
+		offsets[u+1]++
+		adj[offsets[v+1]] = u
+		offsets[v+1]++
 	}
+	offsets = offsets[:b.n+1]
 	g := &Graph{offsets: offsets, adj: adj, m: int64(len(b.us))}
 	for v := 0; v < b.n; v++ {
 		ns := g.adj[offsets[v]:offsets[v+1]]
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+		slices.Sort(ns)
 		d := len(ns)
 		if v == 0 || d < g.minDeg {
 			g.minDeg = d

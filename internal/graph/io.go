@@ -11,23 +11,22 @@ import (
 
 // WriteEdgeList writes g in a simple text format: a header line "n m"
 // followed by one "u v" line per undirected edge. The format round-trips
-// through ReadEdgeList, including parallel edges and self-loops.
+// through ReadEdgeList, including parallel edges and self-loops. The
+// bytes written are exactly what store.DigestGraph hashes.
 func WriteEdgeList(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%d %d\n", g.N(), g.M()); err != nil {
-		return err
-	}
-	var writeErr error
-	g.ForEachEdge(func(e Edge) {
-		if writeErr != nil {
-			return
-		}
-		_, writeErr = fmt.Fprintf(bw, "%d %d\n", e.U, e.V)
-	})
-	if writeErr != nil {
-		return writeErr
-	}
+	writePair(bw, int64(g.N()), int64(g.M()))
+	g.ForEachEdge(func(e Edge) { writePair(bw, int64(e.U), int64(e.V)) })
 	return bw.Flush()
+}
+
+// writePair writes one "a b\n" line. A bufio.Writer latches its first
+// error and reports it from Flush, so callers check only the Flush.
+func writePair(bw *bufio.Writer, a, b int64) {
+	buf := strconv.AppendInt(bw.AvailableBuffer(), a, 10)
+	buf = append(buf, ' ')
+	buf = strconv.AppendInt(buf, b, 10)
+	bw.Write(append(buf, '\n'))
 }
 
 // maxEdgeHint caps the pre-allocation a header's edge count can request
@@ -35,12 +34,31 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 // grows past the hint — but only by actually supplying the edges.
 const maxEdgeHint = 1 << 20
 
-// ReadEdgeList parses the format written by WriteEdgeList. Blank lines and
-// lines starting with '#' are ignored. The header's edge count is only a
-// capacity hint (clamped before allocating); the vertex count is bounded
-// by the 32-bit Vertex range. Note that an accepted vertex count still
-// costs O(n) at Build even with zero edges — callers parsing untrusted
-// input (servers) should use ReadEdgeListLimit with an explicit cap.
+// ReadEdgeList parses the format written by WriteEdgeList. The header's
+// edge count is only a capacity hint (clamped before allocating); the
+// vertex count is bounded by the 32-bit Vertex range. Note that an
+// accepted vertex count still costs O(n) at Build even with zero edges —
+// callers parsing untrusted input (servers) should use ReadEdgeListLimit
+// with an explicit cap.
+//
+// The accepted grammar, line by line (lines end at '\n'; a final line
+// needs none):
+//
+//   - A line is at most 1 MiB − 1 bytes before its '\n'; a longer one is
+//     an error naming its line number.
+//   - Leading and trailing whitespace is trimmed, whitespace being what
+//     unicode.IsSpace accepts: ASCII space, \t, \v, \f, \r (so CRLF
+//     files load) and \n, plus U+0085 and U+00A0 (NBSP) in UTF-8.
+//   - A line that is then empty, or starts with '#', is skipped.
+//   - Any other line must hold exactly two whitespace-separated fields,
+//     each accepted by strconv.Atoi: an optional '+' or '-', decimal
+//     digits, leading zeros allowed, out-of-int range rejected.
+//   - The first such line is the header "n m": both non-negative, n at
+//     most the Vertex range. Every later line is an edge "u v" with both
+//     endpoints in [0, n), and there must be exactly m of them.
+//
+// Errors about one line start with "graph: line N:", N counting every
+// line from 1, blank and comment lines included.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	return ReadEdgeListLimit(r, 0, 0)
 }
@@ -111,6 +129,16 @@ func WriteEdgeBatch(w io.Writer, edges []Edge) error {
 	return bw.Flush()
 }
 
+// maxLineBytes bounds one edge-list line, its '\n' included: the same
+// 1 MiB buffer the parser has always read lines into.
+const maxLineBytes = 1 << 20
+
+// maxFastDigits is the longest decimal token the in-place parser
+// accepts: 18 digits cannot overflow a 64-bit int, 9 cannot overflow a
+// 32-bit one. Longer tokens (leading zeros, overflow) take the
+// strconv route, which decides them exactly as Atoi does.
+const maxFastDigits = 9 + 9*(strconv.IntSize/64)
+
 // ReadEdgeListLimit is ReadEdgeList with caps enforced while parsing:
 // headers declaring more than maxVertices are rejected before any
 // allocation is sized from them, and the read aborts as soon as more
@@ -118,72 +146,85 @@ func WriteEdgeBatch(w io.Writer, edges []Edge) error {
 // lines both count, so the limit bounds per-request memory, not just the
 // final graph). Zero or negative means unlimited: the full Vertex range
 // for maxVertices, no cap for maxEdges.
+//
+// Lines are tokenized in place in the read buffer, with no allocation
+// per line: only a line holding a non-ASCII byte, a sign, an over-long
+// number or a malformed field goes through strings/strconv, so the
+// grammar described at ReadEdgeList is decided by the standard library
+// in every corner case. An error from r is returned wrapped (errors.As
+// still finds it) without parsing the partial line in front of it.
 func ReadEdgeListLimit(r io.Reader, maxVertices, maxEdges int) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	br := bufio.NewReaderSize(r, maxLineBytes)
 	var (
 		b      *Builder
 		parsed int
 		m      int
 	)
 	lineNo := 0
-	for sc.Scan() {
+	for {
+		line, rerr := br.ReadSlice('\n')
+		// A caller's own larger bufio.Reader comes back from
+		// NewReaderSize unchanged, so the limit is also checked on the
+		// line itself, '\n' excluded.
+		content := len(line)
+		if content > 0 && line[content-1] == '\n' {
+			content--
+		}
+		if rerr == bufio.ErrBufferFull || content >= maxLineBytes {
+			return nil, fmt.Errorf("graph: line %d: longer than %d bytes", lineNo+1, maxLineBytes-1)
+		}
+		if rerr != nil && rerr != io.EOF {
+			return nil, fmt.Errorf("graph: line %d: %w", lineNo+1, rerr)
+		}
+		if len(line) == 0 {
+			break // clean end of input
+		}
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("graph: line %d: want 2 fields, got %d", lineNo, len(fields))
-		}
-		a, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
-		}
-		c, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
-		}
-		if b == nil {
-			if a < 0 || c < 0 {
-				return nil, fmt.Errorf("graph: line %d: negative header", lineNo)
+		a, c, kind := scanEdgeLine(line)
+		if kind == lineOther {
+			var err error
+			if a, c, kind, err = parseEdgeLineSlow(line, lineNo); err != nil {
+				return nil, err
 			}
-			// The header is untrusted until the edge count has been
-			// verified: reject vertex counts past the caller's limit (or
-			// past what any Vertex can index), and treat the edge count
-			// only as a capacity hint, clamped so a typo'd or hostile
-			// header cannot force a huge allocation before the first
-			// edge line is even read.
-			limit := maxVertices
-			if limit <= 0 || limit > math.MaxInt32 {
-				limit = math.MaxInt32
-			}
-			if a > limit {
-				return nil, fmt.Errorf("graph: line %d: vertex count %d exceeds limit %d", lineNo, a, limit)
-			}
-			if maxEdges > 0 && c > maxEdges {
-				return nil, fmt.Errorf("graph: line %d: edge count %d exceeds limit %d", lineNo, c, maxEdges)
-			}
-			hint := c
-			if hint > maxEdgeHint {
-				hint = maxEdgeHint
-			}
-			b = NewBuilderHint(a, hint)
-			m = c
-			continue
 		}
-		if a < 0 || a >= b.N() || c < 0 || c >= b.N() {
-			return nil, fmt.Errorf("graph: line %d: edge (%d,%d) out of range [0,%d)", lineNo, a, c, b.N())
+		if kind == linePair {
+			if b == nil {
+				if a < 0 || c < 0 {
+					return nil, fmt.Errorf("graph: line %d: negative header", lineNo)
+				}
+				// The header is untrusted until the edge count has been
+				// verified: reject vertex counts past the caller's limit
+				// (or past what any Vertex can index), and treat the edge
+				// count only as a capacity hint, clamped so a typo'd or
+				// hostile header cannot force a huge allocation before
+				// the first edge line is even read.
+				limit := maxVertices
+				if limit <= 0 || limit > math.MaxInt32 {
+					limit = math.MaxInt32
+				}
+				if a > limit {
+					return nil, fmt.Errorf("graph: line %d: vertex count %d exceeds limit %d", lineNo, a, limit)
+				}
+				if maxEdges > 0 && c > maxEdges {
+					return nil, fmt.Errorf("graph: line %d: edge count %d exceeds limit %d", lineNo, c, maxEdges)
+				}
+				b = NewBuilderHint(a, min(c, maxEdgeHint))
+				m = c
+			} else {
+				if a < 0 || a >= b.n || c < 0 || c >= b.n {
+					return nil, fmt.Errorf("graph: line %d: edge (%d,%d) out of range [0,%d)", lineNo, a, c, b.n)
+				}
+				if maxEdges > 0 && parsed >= maxEdges {
+					return nil, fmt.Errorf("graph: line %d: more than %d edges", lineNo, maxEdges)
+				}
+				b.us = append(b.us, Vertex(a))
+				b.vs = append(b.vs, Vertex(c))
+				parsed++
+			}
 		}
-		if maxEdges > 0 && parsed >= maxEdges {
-			return nil, fmt.Errorf("graph: line %d: more than %d edges", lineNo, maxEdges)
+		if rerr == io.EOF {
+			break
 		}
-		b.AddEdge(Vertex(a), Vertex(c))
-		parsed++
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	if b == nil {
 		return nil, fmt.Errorf("graph: empty input")
@@ -192,4 +233,87 @@ func ReadEdgeListLimit(r io.Reader, maxVertices, maxEdges int) (*Graph, error) {
 		return nil, fmt.Errorf("graph: header promised %d edges, got %d", m, parsed)
 	}
 	return b.Build(), nil
+}
+
+// lineKind classifies one edge-list line.
+type lineKind uint8
+
+const (
+	lineSkip  lineKind = iota // blank, whitespace only, or a '#' comment
+	linePair                  // two decimal fields
+	lineOther                 // anything else: decided by parseEdgeLineSlow
+)
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts — the
+// separators strings.TrimSpace and strings.Fields use below 0x80.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// scanEdgeLine is the allocation-free tokenizer for the common case: a
+// line of ASCII whitespace, optionally a '#' comment, or exactly two
+// unsigned decimals of at most maxFastDigits digits. It reports
+// lineOther for everything else, never an error: non-ASCII bytes (whose
+// whitespace only unicode.IsSpace decides), signs, long numbers, extra
+// fields and stray characters all take the reference route.
+func scanEdgeLine(line []byte) (a, c int, kind lineKind) {
+	i := skipSpace(line, 0)
+	if i == len(line) || line[i] == '#' {
+		return 0, 0, lineSkip
+	}
+	a, i, ok := scanDecimal(line, i)
+	if !ok || i == len(line) {
+		return 0, 0, lineOther
+	}
+	c, i, ok = scanDecimal(line, skipSpace(line, i))
+	if !ok || skipSpace(line, i) != len(line) {
+		return 0, 0, lineOther
+	}
+	return a, c, linePair
+}
+
+// skipSpace returns the index of the first non-ASCII-space byte of line
+// at or after i.
+func skipSpace(line []byte, i int) int {
+	for i < len(line) && asciiSpace[line[i]] {
+		i++
+	}
+	return i
+}
+
+// scanDecimal parses the run of digits at line[i:], which must be
+// non-empty, at most maxFastDigits long, and end at a space or the end
+// of the line. It returns the value and the index just past the run.
+func scanDecimal(line []byte, i int) (int, int, bool) {
+	start, x := i, 0
+	for ; i < len(line); i++ {
+		d := line[i] - '0'
+		if d > 9 {
+			break
+		}
+		x = x*10 + int(d)
+	}
+	if n := i - start; n == 0 || n > maxFastDigits || (i < len(line) && !asciiSpace[line[i]]) {
+		return 0, 0, false
+	}
+	return x, i, true
+}
+
+// parseEdgeLineSlow decides one line with strings.TrimSpace,
+// strings.Fields and strconv.Atoi — the parser's grammar by definition,
+// used for every line scanEdgeLine does not take.
+func parseEdgeLineSlow(line []byte, lineNo int) (a, c int, kind lineKind, err error) {
+	s := strings.TrimSpace(string(line))
+	if s == "" || strings.HasPrefix(s, "#") {
+		return 0, 0, lineSkip, nil
+	}
+	fields := strings.Fields(s)
+	if len(fields) != 2 {
+		return 0, 0, 0, fmt.Errorf("graph: line %d: want 2 fields, got %d", lineNo, len(fields))
+	}
+	if a, err = strconv.Atoi(fields[0]); err != nil {
+		return 0, 0, 0, fmt.Errorf("graph: line %d: %w", lineNo, err)
+	}
+	if c, err = strconv.Atoi(fields[1]); err != nil {
+		return 0, 0, 0, fmt.Errorf("graph: line %d: %w", lineNo, err)
+	}
+	return a, c, linePair, nil
 }

@@ -5,7 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -21,6 +24,28 @@ func newTestService(t *testing.T) *Service {
 	s := New(Config{JobWorkers: 1, CacheEntries: 4})
 	t.Cleanup(s.Close)
 	return s
+}
+
+// TestLoadOversizedBodyKeepsMaxBytesError: handleLoad answers 413 only
+// if the *http.MaxBytesError of its body reader survives the parse.
+// The 1 KiB cut lands at every offset of an edge line across the
+// bodies; wherever it falls, the partial line in front of it must not
+// be parsed into a different error (or an edge).
+func TestLoadOversizedBodyKeepsMaxBytesError(t *testing.T) {
+	s := newTestService(t)
+	var edges strings.Builder
+	for i := 0; i < 400; i++ {
+		fmt.Fprintf(&edges, "%d %d\n", i, 1000+i)
+	}
+	for pad := 0; pad < 12; pad++ {
+		body := "#" + strings.Repeat("x", pad) + "\n2000 400\n" + edges.String()
+		r := http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(strings.NewReader(body)), 1<<10)
+		_, err := s.Load("big", r)
+		var tooLarge *http.MaxBytesError
+		if !errors.As(err, &tooLarge) {
+			t.Fatalf("pad %d: Load error %v does not carry *http.MaxBytesError", pad, err)
+		}
+	}
 }
 
 func TestLoadDedupesByDigest(t *testing.T) {
