@@ -73,13 +73,17 @@ race:
 # The service line also runs the AllocsPerRun guard that pins the
 # cache-hit query path at 0 allocs/op (TestQueryHitPathZeroAllocs), and
 # BenchmarkAppendForward, whose B/op shows an append forward that went
-# back to one O(n) relabel per cached configuration.
+# back to one O(n) relabel per cached configuration. The store line
+# times the content digest (CSR and mmap'd snapshot) and a whole Open
+# of a data dir holding one 2^20-edge graph.
 # CI uploads the output as an artifact for benchstat diffs across PRs.
 bench-smoke:
 	$(GO) test -run=NONE -benchtime=1x -benchmem \
 		-bench='Pipeline|LayeredWalk|MPCSort|RouteAllocs|IndependentWalksParallel|BinaryCodec|SolveNative|SolveMPC|SolveMapped' .
 	$(GO) test -run='ZeroAllocs' -benchtime=1x -benchmem \
 		-bench='QueryHit|QueryBatch|HTTPQuery|AppendForward' ./internal/service/
+	$(GO) test -run=NONE -benchtime=1x -benchmem \
+		-bench='DigestGraph|DigestViewMapped|DiskOpen' ./internal/store/
 
 # The out-of-core smoke: a union-of-cliques WCCM1 file ~4x larger than
 # the Go soft memory limit solved off a real mmap, labels verified

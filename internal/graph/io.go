@@ -129,9 +129,13 @@ func WriteEdgeBatch(w io.Writer, edges []Edge) error {
 	return bw.Flush()
 }
 
-// maxLineBytes bounds one edge-list line, its '\n' included: the same
-// 1 MiB buffer the parser has always read lines into.
+// maxLineBytes bounds one edge-list line, its '\n' included.
 const maxLineBytes = 1 << 20
+
+// readBufBytes is the parser's read buffer. Lines longer than it are
+// gathered into a growable buffer up to maxLineBytes, so a small body
+// costs a small buffer and only a long line pays for its length.
+const readBufBytes = 16 << 10
 
 // maxFastDigits is the longest decimal token the in-place parser
 // accepts: 18 digits cannot overflow a 64-bit int, 9 cannot overflow a
@@ -154,18 +158,23 @@ const maxFastDigits = 9 + 9*(strconv.IntSize/64)
 // in every corner case. An error from r is returned wrapped (errors.As
 // still finds it) without parsing the partial line in front of it.
 func ReadEdgeListLimit(r io.Reader, maxVertices, maxEdges int) (*Graph, error) {
-	br := bufio.NewReaderSize(r, maxLineBytes)
+	br := bufio.NewReaderSize(r, readBufBytes)
 	var (
 		b      *Builder
 		parsed int
 		m      int
+		long   []byte // a line longer than br's buffer, gathered
 	)
 	lineNo := 0
 	for {
 		line, rerr := br.ReadSlice('\n')
-		// A caller's own larger bufio.Reader comes back from
-		// NewReaderSize unchanged, so the limit is also checked on the
-		// line itself, '\n' excluded.
+		if rerr == bufio.ErrBufferFull {
+			line, rerr = readLongLine(br, line, &long)
+		}
+		// A caller's own bufio.Reader of at least readBufBytes comes
+		// back from NewReaderSize unchanged and may return a whole
+		// line past the limit, so the limit is checked on the line
+		// itself, '\n' excluded.
 		content := len(line)
 		if content > 0 && line[content-1] == '\n' {
 			content--
@@ -233,6 +242,23 @@ func ReadEdgeListLimit(r io.Reader, maxVertices, maxEdges int) (*Graph, error) {
 		return nil, fmt.Errorf("graph: header promised %d edges, got %d", m, parsed)
 	}
 	return b.Build(), nil
+}
+
+// readLongLine finishes a line that filled br's buffer: it gathers
+// first and the pieces after it into *long (reused across lines) until
+// the '\n', an error from br, or maxLineBytes bytes without a '\n',
+// which it reports as bufio.ErrBufferFull. At most one buffer's worth
+// past maxLineBytes is ever held.
+func readLongLine(br *bufio.Reader, first []byte, long *[]byte) ([]byte, error) {
+	buf := append((*long)[:0], first...)
+	err := bufio.ErrBufferFull
+	for err == bufio.ErrBufferFull && len(buf) < maxLineBytes {
+		var piece []byte
+		piece, err = br.ReadSlice('\n')
+		buf = append(buf, piece...)
+	}
+	*long = buf
+	return buf, err
 }
 
 // lineKind classifies one edge-list line.

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"io"
 	"math/rand/v2"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // edgeListText returns the WriteEdgeList text of a random multigraph
@@ -37,6 +39,26 @@ func TestReadEdgeListAllocsFlatInLines(t *testing.T) {
 	t.Logf("allocs: 10k edges %.0f, 200k edges %.0f", small, big)
 	if big > small+2 {
 		t.Errorf("allocations grow with line count: %.0f at 10k edges, %.0f at 200k", small, big)
+	}
+}
+
+// TestReadEdgeListTinyBodyAllocatesLittle: a tiny body pays for a
+// small read buffer, not for the 1 MiB longest line it could have held.
+func TestReadEdgeListTinyBodyAllocatesLittle(t *testing.T) {
+	const runs = 50
+	body := []byte("3 1\n0 1\n")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := ReadEdgeListLimit(bytes.NewReader(body), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d B per parse of a %d-byte body", perRun, len(body))
+	if perRun > 2*readBufBytes {
+		t.Errorf("parsing a %d-byte body allocates %d B, want at most %d", len(body), perRun, 2*readBufBytes)
 	}
 }
 
@@ -117,6 +139,25 @@ func TestReadEdgeListReaderErrorWins(t *testing.T) {
 	}
 	if _, err := ReadEdgeList(&failingReader{data: []byte("1 0\n"), err: io.EOF}); err != nil {
 		t.Errorf("clean EOF: %v", err)
+	}
+}
+
+// TestReadEdgeListLongLineAcrossReads: a line many read buffers long
+// is gathered whole however the reader splits it, and a reader failing
+// inside it still surfaces its own error.
+func TestReadEdgeListLongLineAcrossReads(t *testing.T) {
+	long := "#" + strings.Repeat("x", 5*readBufBytes+3) + "\n"
+	text := "3 2\n0 1\n" + long + long + "1 2\n"
+	for _, r := range []io.Reader{strings.NewReader(text), iotest.HalfReader(strings.NewReader(text))} {
+		g, err := ReadEdgeList(r)
+		if err != nil || g.M() != 2 {
+			t.Fatalf("got %v, %v; want the 2-edge graph", g, err)
+		}
+	}
+	cut := errors.New("body cut")
+	_, err := ReadEdgeList(&failingReader{data: []byte(text[:len(text)-len(long)-10]), err: cut})
+	if !errors.Is(err, cut) || !strings.HasPrefix(err.Error(), "graph: line 3: ") {
+		t.Fatalf("got %v, want the reader's error on line 3", err)
 	}
 }
 

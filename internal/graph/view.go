@@ -12,6 +12,11 @@ import (
 // mmap-backed WCCM1 snapshot, and Overlay layers appended edges on any
 // base. Degree and the counts must be O(1) — implementations keep the
 // O(n) offset array resident even when the adjacency is not.
+//
+// A View is read concurrently: Degree and Neighbors must be safe to
+// call from many goroutines at once, each passing its own buf. The
+// parallel solver's chunked scans and store.DigestView's range workers
+// rely on it.
 type View interface {
 	// NumVertices returns the number of vertices.
 	NumVertices() int

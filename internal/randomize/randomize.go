@@ -33,7 +33,9 @@ const (
 	// 5.1): Θ(n·t²) space, walks certified independent.
 	EngineLayered
 	// EngineDirect samples walks directly: exactly independent targets,
-	// O(n·k·t) time, Theorem 3 round accounting (DESIGN.md §2(b)).
+	// O(n·k·t) time, Theorem 3 round accounting — a substitution for the
+	// layered graph that ablation A3 (A3WalkEngines in internal/bench)
+	// measures.
 	EngineDirect
 )
 

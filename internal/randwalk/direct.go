@@ -22,8 +22,10 @@ import (
 // Round accounting still follows Theorem 3 — 1 sampling round plus
 // 2·⌈log₂ t⌉ pointer-doubling/marking phases, each a parallel search over
 // the layered graph of n·2t·(t+1) records — because that is what the
-// algorithm would cost on a real cluster. This substitution is recorded in
-// DESIGN.md §2(b).
+// algorithm would cost on a real cluster. The substitution is direct
+// sampling for the layered-graph structure, with Theorem 3's round
+// accounting kept; ablation A3 (A3WalkEngines in internal/bench) measures
+// both engines side by side.
 func DirectWalks(sim *mpc.Sim, g *graph.Graph, t, k int, rng *rand.Rand) ([][]graph.Vertex, error) {
 	n := g.N()
 	if t < 0 {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -401,4 +402,33 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("recovered graph invalid: %v", err)
 		}
 	})
+}
+
+// BenchmarkDiskOpen reopens a data directory holding one 2^20-edge
+// graph — map the snapshot, verify its trailer digests, re-derive the
+// v0 content digest, replay the empty WAL — and reports the edge rate.
+func BenchmarkDiskOpen(b *testing.B) {
+	const m = 1 << 20
+	g := randomMultigraph(rand.New(rand.NewPCG(43, 10)), m/2, 0, m)
+	digest := DigestGraph(g)
+	dir := b.TempDir()
+	s, err := Open(dir, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	meta := Meta{ID: "g-" + digest[:12], Name: "open", Digest: digest, N: g.N(), M: g.M()}
+	if _, err := s.Put(meta, g, Version{Digest: digest, N: g.N(), M: g.M()}); err != nil {
+		b.Fatal(err)
+	}
+	s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := Open(dir, Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Close()
+	}
+	b.ReportMetric(float64(m)*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
 }

@@ -26,7 +26,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 
 	"repro/internal/fault"
@@ -162,103 +161,6 @@ type Store interface {
 	// Close releases resources; the durable backend stops its
 	// compaction worker and closes its WAL handles.
 	Close() error
-}
-
-// DigestGraph hashes the canonical edge list: the header followed by
-// every edge in the deterministic CSR iteration order. Build sorts
-// adjacencies, so any two graphs with the same edge multiset share a
-// digest — the content address graph IDs derive from.
-func DigestGraph(g *graph.Graph) string { return DigestView(g) }
-
-// DigestView is DigestGraph over any graph.View, streaming the same
-// canonical edge order without materializing — how the disk backend
-// re-verifies a mapped snapshot's content digest on open while keeping
-// the adjacency out of the heap. The two functions agree byte for byte
-// on equal edge multisets, because graph.ForEachEdgeView scans every
-// View the graph package builds — a mapped snapshot, or an Overlay of
-// WAL batches on one — in the canonical sorted order.
-//
-// The hashed bytes are exactly graph.WriteEdgeList's output. Edges are
-// formatted into one reused digestChunk-byte buffer that is handed to
-// the hash whenever it fills, so the hash sees a few large writes
-// rather than one call per edge.
-func DigestView(v graph.View) string {
-	h := sha256.New()
-	buf := make([]byte, 0, digestChunk)
-	buf = strconv.AppendInt(buf, int64(v.NumVertices()), 10)
-	buf = append(buf, ' ')
-	buf = strconv.AppendInt(buf, int64(v.NumEdges()), 10)
-	buf = append(buf, '\n')
-	graph.ForEachEdgeView(v, func(e graph.Edge) {
-		if len(buf) > digestChunk-maxEdgeLine {
-			h.Write(buf)
-			buf = buf[:0]
-		}
-		buf = append(appendUint32(buf, uint32(e.U)), ' ')
-		buf = append(appendUint32(buf, uint32(e.V)), '\n')
-	})
-	h.Write(buf)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-const (
-	// digestChunk is the size of DigestView's formatting buffer.
-	digestChunk = 64 << 10
-	// maxEdgeLine is the longest "u v\n" line: two 10-digit vertices.
-	maxEdgeLine = 2*10 + 2
-)
-
-// decimalPairs holds "00".."99", two bytes per value.
-const decimalPairs = "00010203040506070809" +
-	"10111213141516171819" +
-	"20212223242526272829" +
-	"30313233343536373839" +
-	"40414243444546474849" +
-	"50515253545556575859" +
-	"60616263646566676869" +
-	"70717273747576777879" +
-	"80818283848586878889" +
-	"90919293949596979899"
-
-// appendUint32 appends x in decimal — strconv.AppendUint's output —
-// writing the digits straight into b, two per division. Canonical
-// edges have non-negative endpoints, so this is also AppendInt's.
-func appendUint32(b []byte, x uint32) []byte {
-	var n int
-	switch {
-	case x < 10:
-		return append(b, byte('0'+x))
-	case x < 100:
-		return append(b, decimalPairs[2*x], decimalPairs[2*x+1])
-	case x < 1e3:
-		n = 3
-	case x < 1e4:
-		n = 4
-	case x < 1e5:
-		n = 5
-	case x < 1e6:
-		n = 6
-	case x < 1e7:
-		n = 7
-	case x < 1e8:
-		n = 8
-	case x < 1e9:
-		n = 9
-	default:
-		n = 10
-	}
-	l := len(b)
-	b = slices.Grow(b, n)[:l+n]
-	d := b[l:]
-	for i := n; x >= 10; x /= 100 {
-		r := x % 100
-		i -= 2
-		d[i], d[i+1] = decimalPairs[2*r], decimalPairs[2*r+1]
-	}
-	if n%2 == 1 {
-		d[0] = byte('0' + x)
-	}
-	return b
 }
 
 // ChainDigest derives the digest of a new version from its predecessor,
