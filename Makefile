@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race fuzz-smoke chaos-smoke repl-chaos-smoke bench-smoke bench-json bench
+.PHONY: build test vet lint race fuzz-smoke chaos-smoke repl-chaos-smoke bench-smoke bench
 
 build:
 	$(GO) build ./...
@@ -68,15 +68,19 @@ repl-chaos-smoke:
 race:
 	$(GO) test -race ./internal/mpc/ ./internal/parallel/ ./internal/algo/ ./internal/randwalk/ ./internal/randomize/ ./internal/baseline/ ./internal/service/ ./internal/store/ ./internal/repl/ ./internal/dynamic/
 
-# One-iteration pass over the perf-critical benchmarks: catches crashes,
-# allocation regressions (-benchmem), and gross slowdowns in seconds.
+# One-iteration pass over the perf-critical benchmarks: a crash and
+# allocation gate (-benchmem), not a source of performance numbers —
+# one iteration is dominated by warm-up; perfbench holds the measured,
+# gated figures.
 # The service line also runs the AllocsPerRun guard that pins the
 # cache-hit query path at 0 allocs/op (TestQueryHitPathZeroAllocs), and
 # BenchmarkAppendForward, whose B/op shows an append forward that went
 # back to one O(n) relabel per cached configuration. The store line
 # times the content digest (CSR and mmap'd snapshot) and a whole Open
-# of a data dir holding one 2^20-edge graph.
-# CI uploads the output as an artifact for benchstat diffs across PRs.
+# of a data dir holding one 2^20-edge graph. That the WCCB1 encoding
+# stays smaller than text is asserted by internal/graph's
+# TestBinaryRoundTripAllGenFamilies, not here.
+# CI uploads the raw output as an artifact for benchstat diffs.
 bench-smoke:
 	$(GO) test -run=NONE -benchtime=1x -benchmem \
 		-bench='Pipeline|LayeredWalk|MPCSort|RouteAllocs|IndependentWalksParallel|BinaryCodec|SolveNative|SolveMPC|SolveMapped' .
@@ -92,20 +96,6 @@ bench-smoke:
 .PHONY: ooc-smoke
 ooc-smoke:
 	WCC_OOC_SCALE=full $(GO) test -run='^TestOutOfCoreSmokeUnderMemoryLimit$$' -v ./internal/parallel/
-
-# bench-smoke with the output captured and parsed into a JSON snapshot
-# ({bench, ns_op, allocs_op} per benchmark). The snapshot for this PR
-# is committed as BENCH_9.json (the series started at BENCH_7.json; it
-# now carries the in-RAM vs out-of-core solve pair, SolveNative vs
-# SolveMapped) and CI uploads the regenerated copy as an artifact, so
-# the perf trajectory is a diffable series of files. (Write to the file
-# first, cat after: `| tee` would eat a bench failure's exit status
-# under shells without pipefail.)
-BENCHOUT ?= BENCH_9.json
-bench-json:
-	$(MAKE) bench-smoke >bench-smoke.txt 2>&1; st=$$?; cat bench-smoke.txt; test $$st -eq 0
-	$(GO) run ./cmd/wccbench -parse-bench bench-smoke.txt -json-out $(BENCHOUT)
-	@echo "wrote $(BENCHOUT)"
 
 # Full benchmark sweep (slow).
 bench:

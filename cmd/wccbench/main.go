@@ -1,5 +1,6 @@
 // Command wccbench regenerates the experiment tables of EXPERIMENTS.md:
-// one table per row of the DESIGN.md experiment index (E1–E14).
+// one table per experiment of internal/bench (E1–E15, and the ablations
+// A1–A4 with -ablations).
 //
 // Usage:
 //
@@ -33,18 +34,8 @@ func run() error {
 		ablations = flag.Bool("ablations", false, "also run the design-choice ablations A1–A4")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		workers   = flag.Int("workers", -1, "simulator workers: 1 sequential, k>1 bounded pool, -1 GOMAXPROCS (results identical for a fixed seed)")
-
-		parseBench = flag.String("parse-bench", "", "parse `go test -bench` output from this file into a JSON snapshot instead of running experiments")
-		jsonOut    = flag.String("json-out", "", "with -parse-bench: write the JSON snapshot to this file (default stdout)")
 	)
 	flag.Parse()
-
-	if *parseBench != "" {
-		return parseBenchOutput(*parseBench, *jsonOut)
-	}
-	if *jsonOut != "" {
-		return fmt.Errorf("-json-out requires -parse-bench")
-	}
 
 	want := map[string]bool{}
 	for _, id := range strings.Split(*only, ",") {

@@ -115,7 +115,6 @@ func run() error {
 		dataDir     = flag.String("data-dir", "", "durable storage directory (snapshot + WAL per graph, replayed on boot); empty = in-memory only")
 		jobWorkers  = flag.Int("job-workers", 2, "concurrent solve jobs")
 		cacheSize   = flag.Int("cache-entries", 64, "labeling cache capacity (entries)")
-		cacheShards = flag.Int("cache-shards", 0, "labeling-cache lock stripes, rounded up to a power of two and clamped to 64 (0 = 4x GOMAXPROCS; never affects which entries survive)")
 		jobHistory  = flag.Int("job-history", 0, "completed jobs kept queryable via /v1/jobs (0 = default 256)")
 		simWorkers  = flag.Int("workers", 0, "default simulator workers per solve: 0/1 sequential, k>1 bounded pool, -1 GOMAXPROCS; the native parallel solver reads 0 as all cores (never affects results)")
 		defaultAlgo = flag.String("default-algo", "parallel", "algorithm used when a request does not name one (see /v1/algorithms; changing it re-keys algo-less cache entries, never corrupts them)")
@@ -159,7 +158,6 @@ func run() error {
 	svc, err := service.Open(service.Config{
 		JobWorkers:     *jobWorkers,
 		CacheEntries:   *cacheSize,
-		CacheShards:    *cacheShards,
 		JobHistory:     *jobHistory,
 		SimWorkers:     *simWorkers,
 		DefaultAlgo:    *defaultAlgo,

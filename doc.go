@@ -41,8 +41,9 @@
 // POST /v1/query/batch answers many queries against one labeling
 // lookup. The solve path is split: requests that do not name an
 // algorithm run the native "parallel" solver (wccserve -default-algo;
-// orders of magnitude faster than a simulated solve — see the
-// SolveNative/SolveMPC pair in BENCH_9.json), while the MPC/paper
+// perfbench measures it at about 67 000 times the edges/s of the
+// simulated paper pipeline, parallel.solve_edges_per_s ÷
+// core.solve_edges_per_s), while the MPC/paper
 // algorithms stay selectable per request and remain the verification
 // path (wccstream -verify cross-checks against them). Labelings are
 // cached per algorithm, so changing -default-algo re-keys what
@@ -132,6 +133,30 @@
 // output is bit-identical regardless of worker count or schedule; see
 // internal/mpc/README.md for the executor model and the seed-derivation
 // scheme.
+//
+// # Evidence
+//
+// Each kind of claim has one home. The paper's round bounds are the
+// experiment tables of internal/bench (E1–E15, ablations A1–A4),
+// regenerated by cmd/wccbench; EXPERIMENTS.md holds their quick-size
+// output. Performance claims are perfbench's (its own module), whose
+// end-to-end metrics are gated; `make bench-smoke` is only a crash and
+// allocation gate.
+//
+// Three removals were decided on that evidence. The MPC Borůvka
+// minimum-spanning-forest package (mst) is gone: no paper claim,
+// experiment, CLI or registry entry used it. The WCCB1 codec stays:
+// perfbench measures it at 3.61 bytes per edge against WCCM1's 10.49
+// (graph.wccb1_bytes_per_edge, graph.wccm1_bytes_per_edge), it is the
+// compact file format wccgen and wccfind read and write, and
+// TestBinaryRoundTripAllGenFamilies asserts it stays smaller than text
+// on every generator family. The examples/ programs stay as the
+// runnable tour: each exits non-zero when its output contradicts its
+// claim, and the library test behind each claim is
+// TestFindComponentsExpanderKnownLambda (quickstart),
+// TestFindComponentsMixedGaps (mixedgap), the TestConnectivitySketch*
+// tests and internal/sublinear's TestComponentsArbitraryGraphs
+// (sketchstream), and TestFindComponentsOblivious (socialnetwork).
 //
 // # Static analysis
 //

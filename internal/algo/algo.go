@@ -145,20 +145,6 @@ type ViewCapable interface {
 	FindView(v graph.View, opts Options) (*Result, error)
 }
 
-// ViewCapableAlgo returns the named algorithm's view path, or nil if it
-// has none (or the name is unknown).
-func ViewCapableAlgo(name string) ViewCapable {
-	a, err := Get(name)
-	if err != nil {
-		return nil
-	}
-	c, ok := a.(ViewCapable)
-	if !ok {
-		return nil
-	}
-	return c
-}
-
 // CanonicalForm returns the canonical relabeling of a dense component
 // labeling: labels renumbered by first appearance (vertex 0 upward). Two
 // labelings describe the same partition iff their canonical forms are

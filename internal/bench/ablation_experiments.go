@@ -15,8 +15,8 @@ import (
 )
 
 // Ablations lists the design-choice ablation experiments (the "A" rows of
-// DESIGN.md §5): each isolates one design decision of the paper and shows
-// what breaks (or doesn't) without it.
+// EXPERIMENTS.md): each isolates one design decision of the paper and
+// shows what breaks (or doesn't) without it.
 func Ablations() []Runner {
 	return []Runner{
 		{"A1", "fresh batches per phase vs reusing one batch", A1FreshBatches},
@@ -124,13 +124,14 @@ func A2WidthIndependence(cfg Config) (*Table, error) {
 }
 
 // A3WalkEngines: the layered-graph engine (faithful Theorem 3) versus the
-// direct-simulation engine (DESIGN.md §2(b)): identical round accounting,
-// different host cost and memory; both feed Step 2 correctly.
+// direct-sampling engine that substitutes for it (randwalk.DirectWalks,
+// randomize.EngineDirect): identical round accounting, different host
+// cost and memory; both feed Step 2 correctly.
 func A3WalkEngines(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "A3",
 		Title:   "walk engines: layered (Theorem 3) vs direct simulation",
-		Claim:   "DESIGN.md §2(b): same rounds and output quality; layered costs Θ(n·t²) memory",
+		Claim:   "direct sampling may replace Theorem 3's layered graph: same rounds and output quality; layered costs Θ(n·t²) memory",
 		Columns: []string{"engine", "rounds", "compsOK", "hostTime"},
 	}
 	rng := rngFor(cfg, 23)

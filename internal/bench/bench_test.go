@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -72,6 +74,27 @@ func TestTablePrinting(t *testing.T) {
 	for _, want := range []string{"T — demo", "paper claim: c", "longcolumn", "note: n1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// EXPERIMENTS.md at the repository root holds wccbench's quick-size
+// tables; every registered experiment and ablation must have one there,
+// headed by its ID as Table.Fprint prints it.
+func TestExperimentsDocListsEveryID(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	headed := map[string]bool{}
+	for _, line := range strings.Split(string(doc), "\n") {
+		if id, _, ok := strings.Cut(line, " — "); ok {
+			headed[id] = true
+		}
+	}
+	for _, r := range append(All(), Ablations()...) {
+		if !headed[r.ID] {
+			t.Errorf("EXPERIMENTS.md has no table headed %q — regenerate it with wccbench -quick -ablations", r.ID+" — ")
 		}
 	}
 }

@@ -1,8 +1,9 @@
-// Package bench contains the experiment harness: one runner per experiment
-// in the DESIGN.md index (E1–E14), each regenerating the paper claim it is
-// named after as a printed table. cmd/wccbench drives the full versions;
-// bench_test.go at the repository root wraps the quick versions in
-// testing.B benchmarks.
+// Package bench contains the experiment harness: one runner per
+// experiment (E1–E15, All) and per design-choice ablation (A1–A4,
+// Ablations), each regenerating the paper claim it is named after as a
+// printed table. cmd/wccbench drives them and EXPERIMENTS.md at the
+// repository root holds its quick-size output; the package's tests run
+// the quick versions.
 package bench
 
 import (

@@ -1,7 +1,8 @@
 // Cross-package codec property test: every gen.Spec family must
-// round-trip identically through the text and the binary codec. It
-// lives in the external graph_test package because internal/gen imports
-// internal/graph.
+// round-trip identically through the text and the binary codec, and its
+// binary encoding must be smaller than its text one (WCCB1's reason to
+// exist beside the edge list and WCCM1). It lives in the external
+// graph_test package because internal/gen imports internal/graph.
 package graph_test
 
 import (
@@ -16,6 +17,7 @@ func TestBinaryRoundTripAllGenFamilies(t *testing.T) {
 	specs := []gen.Spec{
 		{Family: "expander", N: 128, D: 8, Seed: 1},
 		{Family: "gnd", N: 96, D: 6, Seed: 2},
+		{Family: "gnd", N: 20000, D: 8, Seed: 1}, // BenchmarkBinaryCodec's workload
 		{Family: "cycle", N: 64},
 		{Family: "path", N: 50},
 		{Family: "grid", N: 6, D: 7},

@@ -52,7 +52,6 @@ var determinismScope = map[string]bool{
 	"internal/leader":     true,
 	"internal/lowerbound": true,
 	"internal/mpc":        true,
-	"internal/mst":        true,
 	"internal/parallel":   true,
 	"internal/randomize":  true,
 	"internal/randwalk":   true,

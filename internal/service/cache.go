@@ -197,8 +197,9 @@ type cache struct {
 // newCache sizes the shard array: shards is rounded up to a power of
 // two and clamped to [1,64] — enough stripes that 8 cores rarely
 // collide, few enough that the full-sweep paths (withDigestPrefix under
-// the append lock, evict scans, /v1/stats occupancy) stay cheap however
-// the flag is set. 0 picks 4×GOMAXPROCS.
+// the append lock, evict scans, /v1/stats occupancy) stay cheap. 0 picks
+// 4×GOMAXPROCS, the count the service uses; tests pass explicit counts
+// to model-check eviction across stripe layouts.
 func newCache(capacity, shards int) *cache {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0) * 4
@@ -322,9 +323,9 @@ func (c *cache) len() int {
 func (c *cache) capacity() int { return c.cap }
 
 // occupancy returns the per-shard entry counts, in shard order — the
-// /v1/stats signal for sizing -cache-entries and -cache-shards (a single
-// hot shard means the key mix defeats the hash; uniformly full shards
-// mean the capacity is the bottleneck).
+// /v1/stats signal for sizing -cache-entries (a single hot shard means
+// the key mix defeats the hash; uniformly full shards mean the capacity
+// is the bottleneck).
 func (c *cache) occupancy() []int {
 	out := make([]int, len(c.shards))
 	for i := range c.shards {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -217,10 +218,11 @@ func TestHTTPQueryBatch(t *testing.T) {
 }
 
 // TestHTTPStatsCacheVisibility checks the operator-facing cache stats:
-// hit ratio and per-shard occupancy, sized by config, and the partitions
-// block: two configurations solved at one version hold one partition.
+// hit ratio and per-shard occupancy, one entry per lock stripe of the
+// derived shard count, and the partitions block: two configurations
+// solved at one version hold one partition.
 func TestHTTPStatsCacheVisibility(t *testing.T) {
-	svc := New(Config{JobWorkers: 1, CacheEntries: 8, CacheShards: 4})
+	svc := New(Config{JobWorkers: 1, CacheEntries: 8})
 	defer svc.Close()
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
@@ -257,8 +259,14 @@ func TestHTTPStatsCacheVisibility(t *testing.T) {
 	if stats.CacheHitRatio <= 0 || stats.CacheHitRatio > 1 {
 		t.Errorf("cacheHitRatio = %v, want in (0,1]", stats.CacheHitRatio)
 	}
-	if stats.Cache.Capacity != 8 || len(stats.Cache.Shards) != 4 {
-		t.Errorf("cache stats: %+v", stats.Cache)
+	// The service derives its stripe count: 4×GOMAXPROCS rounded up to a
+	// power of two, capped at 64.
+	wantShards := 1
+	for wantShards < 4*runtime.GOMAXPROCS(0) && wantShards < 64 {
+		wantShards *= 2
+	}
+	if stats.Cache.Capacity != 8 || len(stats.Cache.Shards) != wantShards {
+		t.Errorf("cache stats: %+v, want capacity 8 and %d shards", stats.Cache, wantShards)
 	}
 	sum := 0
 	for _, occ := range stats.Cache.Shards {

@@ -191,7 +191,7 @@ func TestScenarioConcurrentAppendsMatchFullSolve(t *testing.T) {
 // package). Correctness check at the end: the incrementally maintained
 // labeling equals a fresh solve of the final graph.
 func TestScenarioConcurrentBatchSingleAppend(t *testing.T) {
-	s := New(Config{MaxVersionGap: 256, CacheEntries: 32, CacheShards: 4})
+	s := New(Config{MaxVersionGap: 256, CacheEntries: 32})
 	defer s.Close()
 
 	base, batches, err := gen.TraceSpec{

@@ -95,11 +95,6 @@ type Config struct {
 	JobWorkers int
 	// CacheEntries is the labeling-cache capacity (default 64).
 	CacheEntries int
-	// CacheShards is the number of lock stripes in the labeling cache,
-	// rounded up to a power of two (default 0 = 4×GOMAXPROCS, max 64).
-	// More shards spread concurrent query traffic; capacity and eviction
-	// stay global, so the setting never changes which entries survive.
-	CacheShards int
 	// SimWorkers is the simulator worker setting applied to solves that do
 	// not specify one (mpc.Config.Workers semantics; default 0 =
 	// sequential — except under the native "parallel" solver, which
@@ -507,7 +502,7 @@ func Open(cfg Config) (*Service, error) {
 		cfg:      cfg,
 		st:       st,
 		canon:    buildCanonTable(),
-		cache:    newCache(cfg.CacheEntries, cfg.CacheShards),
+		cache:    newCache(cfg.CacheEntries, 0),
 		jobs:     make(map[string]*Job),
 		queue:    make(chan *Job, cfg.QueueDepth),
 		draining: make(chan struct{}),
