@@ -83,7 +83,7 @@ race:
 # CI uploads the raw output as an artifact for benchstat diffs.
 bench-smoke:
 	$(GO) test -run=NONE -benchtime=1x -benchmem \
-		-bench='Pipeline|LayeredWalk|MPCSort|RouteAllocs|IndependentWalksParallel|BinaryCodec|SolveNative|SolveMPC|SolveMapped' .
+		-bench='Pipeline|LayeredWalk|RandomizeBatches|MPCSort|RouteAllocs|IndependentWalksParallel|BinaryCodec|SolveNative|SolveMPC|SolveMapped' .
 	$(GO) test -run='ZeroAllocs' -benchtime=1x -benchmem \
 		-bench='QueryHit|QueryBatch|HTTPQuery|AppendForward' ./internal/service/
 	$(GO) test -run=NONE -benchtime=1x -benchmem \

@@ -18,6 +18,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mpc"
+	"repro/internal/randomize"
 	"repro/internal/randwalk"
 	"repro/internal/sketch"
 	"repro/internal/spectral"
@@ -181,6 +182,30 @@ func BenchmarkDirectWalks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sim := mpc.New(mpc.Config{MachineMemory: 1 << 16, Machines: 16})
 		if _, err := randwalk.DirectWalks(sim, g, 64, 8, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRandomizeBatches is Step 2 in the shape of perfbench's
+// mpc-reference solve: three Direct-engine batches of k = 40 lazy walks
+// from every vertex of an 8192-vertex regular expander (the size of the
+// regularized graph there), on the GOMAXPROCS-wide pool. Three batches
+// do not divide evenly over two CPUs, so the last batch runs alone unless
+// its walk blocks recruit the CPU the other batch frees; run it with
+// -cpu 2 to see that. The walks are 128 steps, not mpc-reference's 1009,
+// so one iteration stays under a second.
+func BenchmarkRandomizeBatches(b *testing.B) {
+	rng := rand.New(rand.NewPCG(10, 10))
+	g, err := gen.Expander(8192, 8, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	params := randomize.Params{WalksPerVertex: 40, Engine: randomize.EngineDirect}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim := mpc.New(mpc.Config{MachineMemory: 1 << 16, Machines: 16, Workers: -1})
+		if _, _, err := randomize.Batches(sim, g, 128, 3, params, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

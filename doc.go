@@ -128,11 +128,15 @@
 // the paper — the Θ(log n) Theorem 3 walk repetitions and the F
 // randomization batches of Step 2 — execute either sequentially or on a
 // bounded worker pool that shares one global GOMAXPROCS budget across
-// nested simulations. Every repetition draws its randomness from a PCG
-// substream keyed by its index (mpc.StreamRNG), so for a fixed seed the
-// output is bit-identical regardless of worker count or schedule; see
-// internal/mpc/README.md for the executor model and the seed-derivation
-// scheme.
+// nested simulations. A running loop recruits helpers whenever a token
+// frees up, and a caller waiting on its helpers lends its CPU, so the
+// last of the three Step 2 batches on a 2-vCPU host no longer runs on
+// one CPU: perfbench's mpc-reference solve went from 142–151% to
+// 184–185% CPU (user+sys over wall). Every repetition draws its
+// randomness from a PCG substream keyed by its index (mpc.StreamRNG), so
+// for a fixed seed the output is bit-identical regardless of worker count
+// or schedule; see internal/mpc/README.md for the executor model and the
+// seed-derivation scheme.
 //
 // # Evidence
 //

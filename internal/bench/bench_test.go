@@ -78,6 +78,29 @@ func TestTablePrinting(t *testing.T) {
 	}
 }
 
+// Columns are sized in runes: a non-ASCII header or cell is padded to the
+// same width as its column's ASCII neighbours, and each dash rule is as
+// wide as its header.
+func TestTablePrintingAlignsNonASCII(t *testing.T) {
+	tab := &Table{ID: "T", Title: "demo", Columns: []string{"λG", "t/width (≈E[hits])", "n"}}
+	tab.AddRow("0.25", "≥ 3", "10")
+	tab.AddRow("1", "12", "2000")
+	var sb strings.Builder
+	tab.Fprint(&sb)
+	lines := strings.Split(sb.String(), "\n")[1:5] // header, rule, two rows
+	want := []string{
+		"  λG    t/width (≈E[hits])  n   ",
+		"  ----  ------------------  ----",
+		"  0.25  ≥ 3                 10  ",
+		"  1     12                  2000",
+	}
+	for i := range want {
+		if lines[i] != want[i] {
+			t.Errorf("line %d = %q, want %q", i, lines[i], want[i])
+		}
+	}
+}
+
 // EXPERIMENTS.md at the repository root holds wccbench's quick-size
 // tables; every registered experiment and ablation must have one there,
 // headed by its ID as Table.Fprint prints it.

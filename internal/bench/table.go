@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // Config parameterizes an experiment run.
@@ -40,7 +41,8 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// Fprint renders the table with aligned columns.
+// Fprint renders the table with aligned columns. Widths count runes, not
+// bytes, so headers and cells such as "λG" or "≥ 0.5" line up.
 func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "%s — %s\n", t.ID, t.Title)
 	if t.Claim != "" {
@@ -48,12 +50,12 @@ func (t *Table) Fprint(w io.Writer) {
 	}
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
-		widths[i] = len(c)
+		widths[i] = utf8.RuneCountInString(c)
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+			if i < len(widths) {
+				widths[i] = max(widths[i], utf8.RuneCountInString(cell))
 			}
 		}
 	}
@@ -84,10 +86,10 @@ func (t *Table) Fprint(w io.Writer) {
 }
 
 func pad(s string, w int) string {
-	if len(s) >= w {
-		return s
+	if n := utf8.RuneCountInString(s); n < w {
+		return s + strings.Repeat(" ", w-n)
 	}
-	return s + strings.Repeat(" ", w-len(s))
+	return s
 }
 
 // Runner is one experiment.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/randomize"
 )
 
 func init() {
@@ -57,5 +58,37 @@ func TestFindComponentsDeterministicAcrossExecutors(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// On two CPUs a batch count that is not a multiple of 2 leaves one
+// randomization batch running alone at the tail, where its walk blocks
+// recruit the CPU the other batch freed. Labels, statistics and rounds
+// must still be bit-identical to the sequential run.
+func TestFindComponentsDeterministicOnTwoCPUs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	lab, err := gen.ExpanderUnion([]int{120, 80}, 8, rand.New(rand.NewPCG(79, 80)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers int) *Result {
+		res, err := FindComponents(lab.G, Options{Lambda: 0.3, Seed: 124, Engine: randomize.EngineDirect, PhaseExponent: 0.75, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(1)
+	if want.Components != lab.Count {
+		t.Fatalf("sequential run found %d components, want %d", want.Components, lab.Count)
+	}
+	if want.Stats.Batches%2 == 0 {
+		t.Fatalf("%d randomization batches; the test needs an odd count", want.Stats.Batches)
+	}
+	for rep := 0; rep < 2; rep++ {
+		if got := run(-1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: Workers -1 diverged from Workers 1 (components %d vs %d, rounds %d vs %d)",
+				rep, got.Components, want.Components, got.Stats.Rounds, want.Stats.Rounds)
+		}
 	}
 }

@@ -41,34 +41,42 @@ func (sequential) Run(n int, fn func(i int)) {
 // machine-local loops) draw from the same budget, so the process never
 // oversubscribes the CPUs no matter how deeply simulations nest: an inner
 // Run that finds the budget exhausted simply executes inline on its
-// caller. The budget re-reads GOMAXPROCS on every acquire, so programs
-// (and go test -cpu sweeps) that resize the proc limit mid-process get
-// the current value, not the one cached at first use.
-var (
-	tokenMu     sync.Mutex
-	tokensInUse int
-)
+// caller, and picks up helpers later if tokens free up while it runs.
+// Each Run reads GOMAXPROCS once on entry, so programs (and go test -cpu
+// sweeps) that resize the proc limit mid-process get the current value,
+// not the one cached at first use.
+//
+// tokensInUse may dip below zero: a Run whose caller has nothing left to
+// claim lends the caller's CPU to the budget while it waits for its
+// helpers (see run.wait).
+var tokensInUse atomic.Int64
 
-func tryAcquireToken() bool {
-	tokenMu.Lock()
-	defer tokenMu.Unlock()
-	if tokensInUse >= runtime.GOMAXPROCS(0)-1 {
-		return false
+// tryAcquireToken takes one token if fewer than limit are in use.
+func tryAcquireToken(limit int64) bool {
+	for {
+		cur := tokensInUse.Load()
+		if cur >= limit {
+			return false
+		}
+		if tokensInUse.CompareAndSwap(cur, cur+1) {
+			return true
+		}
 	}
-	tokensInUse++
-	return true
 }
 
-func releaseToken() {
-	tokenMu.Lock()
-	tokensInUse--
-	tokenMu.Unlock()
-}
+func releaseToken() { tokensInUse.Add(-1) }
 
 // pool is a bounded work-stealing executor. It holds no goroutines while
 // idle: each Run spawns helpers only for tokens it can acquire from the
 // global budget (capped at its own worker limit), and the caller always
-// participates, so Run can never deadlock even when nested.
+// participates, so Run can never deadlock even when nested. A Run keeps
+// recruiting after it starts: whenever a worker claims an index and
+// another is still unclaimed, it tries for a token freed by some other
+// loop. A caller left waiting for its helpers lends its own CPU to the
+// budget, so a loop nested in a straggling index can recruit onto it.
+// On a 2-vCPU host these two rules took perfbench's mpc-reference solve,
+// whose three randomization batches each fan out walk blocks, from
+// 142–151% to 184–185% CPU (README.md, "Executor model").
 type pool struct {
 	workers int
 }
@@ -76,7 +84,11 @@ type pool struct {
 // NewPool returns an Executor that runs up to workers indices concurrently
 // (the calling goroutine counts as one worker). workers < 1 is clamped to
 // GOMAXPROCS. All pools share one global GOMAXPROCS-1 helper budget, so
-// nested pools cooperate instead of multiplying goroutines.
+// nested pools cooperate instead of multiplying goroutines: at most
+// GOMAXPROCS bodies run at once under one top-level caller, at most
+// workers-1 helpers are ever started per Run, and a token that any loop
+// gives back — a finished helper's, or a waiting caller's lent CPU — is
+// picked up by the next index claim of any loop still running.
 func NewPool(workers int) Executor {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -97,39 +109,106 @@ func (p *pool) Run(n int, fn func(i int)) {
 		fn(0)
 		return
 	}
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			fn(i)
+	// At most workers-1 helpers (the caller participates) and at most n-1
+	// (never more helpers than remaining items).
+	r := &run{
+		fn:         fn,
+		n:          n,
+		limit:      int64(runtime.GOMAXPROCS(0) - 1),
+		maxHelpers: int64(min(p.workers, n) - 1),
+	}
+	for r.recruit() {
+	}
+	r.work()
+	r.wait()
+}
+
+// run is the state of one pool.Run call.
+type run struct {
+	fn         func(i int)
+	n          int
+	limit      int64 // the global budget, GOMAXPROCS-1 on entry
+	maxHelpers int64
+	next       atomic.Int64 // next unclaimed index
+	recruited  atomic.Int64 // helpers started so far, ≤ maxHelpers
+	wg         sync.WaitGroup
+
+	mu   sync.Mutex
+	live int  // helpers started and not yet finished
+	lent bool // the caller gave its CPU to the budget while waiting
+}
+
+// work claims and runs indices until none is left. After each claim that
+// leaves an index unclaimed it checks for a free token — one atomic load
+// while the budget is spent — and recruits one more helper if it finds one.
+func (r *run) work() {
+	for {
+		i := int(r.next.Add(1)) - 1
+		if i >= r.n {
+			return
+		}
+		if i+1 < r.n && tokensInUse.Load() < r.limit {
+			r.recruit()
+		}
+		r.fn(i)
+	}
+}
+
+// recruit starts one more helper if the run is below its helper cap and
+// a budget token is free.
+func (r *run) recruit() bool {
+	for {
+		h := r.recruited.Load()
+		if h >= r.maxHelpers {
+			return false
+		}
+		if r.recruited.CompareAndSwap(h, h+1) {
+			break
 		}
 	}
-	// Recruit helpers: at most workers-1 (the caller participates), at most
-	// n-1 (never more helpers than remaining items), and never more than
-	// the global budget allows right now.
-	helpers := p.workers - 1
-	if helpers > n-1 {
-		helpers = n - 1
+	if !tryAcquireToken(r.limit) {
+		r.recruited.Add(-1)
+		return false
 	}
-	var wg sync.WaitGroup
-	for h := 0; h < helpers; h++ {
-		if !tryAcquireToken() {
-			break // budget exhausted; caller works alone
-		}
-		wg.Add(1)
-		go func() {
-			defer func() {
-				releaseToken()
-				wg.Done()
-			}()
-			work()
-		}()
+	r.mu.Lock()
+	r.live++
+	r.mu.Unlock()
+	r.wg.Add(1)
+	go r.help()
+	return true
+}
+
+// help is a helper goroutine's whole life: work, then give its token
+// back. If the caller lent its CPU while waiting, the last helper to
+// finish passes its token to the caller instead, so the caller resumes
+// on a CPU the budget already counts and the budget never overshoots.
+func (r *run) help() {
+	r.work()
+	r.mu.Lock()
+	r.live--
+	if r.live == 0 && r.lent {
+		r.lent = false
+	} else {
+		releaseToken()
 	}
-	work()
-	wg.Wait()
+	r.mu.Unlock()
+	r.wg.Done()
+}
+
+// wait blocks the caller until every helper has finished. With nothing
+// left to claim the caller would sit idle, so while helpers are still
+// running it lends its CPU to the budget first: a loop nested inside a
+// helper's index can then recruit onto it. The waiting caller never runs
+// a body, so bodies running at once still never exceed GOMAXPROCS under
+// one top-level caller.
+func (r *run) wait() {
+	r.mu.Lock()
+	if r.live > 0 {
+		r.lent = true
+		releaseToken()
+	}
+	r.mu.Unlock()
+	r.wg.Wait()
 }
 
 // RunChunks divides [0, n) into contiguous chunks and executes fn(lo, hi)

@@ -5,8 +5,11 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestMain raises GOMAXPROCS above the machine's CPU count so the worker
@@ -45,6 +48,162 @@ func TestNestedPoolRunDoesNotDeadlock(t *testing.T) {
 	})
 	if got := total.Load(); got != 8*8*4 {
 		t.Fatalf("nested Run executed %d leaf calls, want %d", got, 8*8*4)
+	}
+}
+
+// withProcs runs f with GOMAXPROCS set to procs, restoring the old value.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
+// goid returns the current goroutine's id, parsed from its stack header
+// ("goroutine 18 [running]:"). The tests below use it to tell the
+// goroutine that called Run from the helpers Run started.
+func goid() uint64 {
+	var buf [64]byte
+	s := strings.TrimPrefix(string(buf[:runtime.Stack(buf[:], false)]), "goroutine ")
+	id, err := strconv.ParseUint(s[:strings.IndexByte(s, ' ')], 10, 64)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+// pairProbe is the inner loop of the lending and late-recruit tests: each
+// body waits up to pairWait for a second body to be running beside it.
+// Bodies that find no partner return one by one, so a loop that never
+// gains a second worker ends after len × pairWait instead of hanging.
+type pairProbe struct {
+	started atomic.Bool // an inner body has begun
+	active  atomic.Int32
+	paired  atomic.Bool // two bodies ran at once
+}
+
+const (
+	pairBodies = 100
+	pairWait   = 20 * time.Millisecond
+)
+
+func (p *pairProbe) run(ex Executor) {
+	ex.Run(pairBodies, func(int) {
+		p.started.Store(true)
+		if p.active.Add(1) >= 2 {
+			p.paired.Store(true)
+		}
+		for deadline := time.Now().Add(pairWait); !p.paired.Load() && time.Now().Before(deadline); {
+			time.Sleep(50 * time.Microsecond)
+		}
+		p.active.Add(-1)
+	})
+}
+
+// waitFor polls cond until it holds or a second has passed.
+func waitFor(cond func() bool) bool {
+	for deadline := time.Now().Add(time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	return true
+}
+
+// An outer Run(2) at GOMAXPROCS 2 (a budget of one token) whose caller
+// finishes its index at once while the helper's index runs an inner loop:
+// the caller has nothing left to claim, so it must lend its CPU, and the
+// inner loop must recruit onto it. Without lending the helper holds the
+// only token and the inner bodies run one at a time.
+func TestPoolRunLendsWaitingCallersCPU(t *testing.T) {
+	withProcs(2, func() {
+		ex := NewPool(2)
+		caller := goid()
+		var started atomic.Int32
+		var probe pairProbe
+		ex.Run(2, func(int) {
+			started.Add(1)
+			if !waitFor(func() bool { return started.Load() == 2 }) {
+				t.Error("the two outer indices never ran on separate goroutines")
+				return
+			}
+			if goid() != caller {
+				probe.run(ex)
+			}
+		})
+		if !probe.paired.Load() {
+			t.Error("inner loop never ran two bodies at once: the waiting caller did not lend its CPU")
+		}
+	})
+	if got := tokensInUse.Load(); got != 0 {
+		t.Errorf("tokens in use after Run = %d, want 0", got)
+	}
+}
+
+// The same shape with the roles swapped: the helper's index returns first
+// and frees the only token after the caller's inner loop has already
+// started (and found the budget spent). The inner loop must recruit that
+// token on a later index claim.
+func TestPoolRunRecruitsLate(t *testing.T) {
+	withProcs(2, func() {
+		ex := NewPool(2)
+		caller := goid()
+		var started atomic.Int32
+		var probe pairProbe
+		ex.Run(2, func(int) {
+			started.Add(1)
+			if !waitFor(func() bool { return started.Load() == 2 }) {
+				t.Error("the two outer indices never ran on separate goroutines")
+				return
+			}
+			if goid() == caller {
+				probe.run(ex)
+			} else if !waitFor(probe.started.Load) {
+				t.Error("the caller's inner loop never started")
+			}
+		})
+		if !probe.paired.Load() {
+			t.Error("inner loop never ran two bodies at once: the freed token was not recruited")
+		}
+	})
+	if got := tokensInUse.Load(); got != 0 {
+		t.Errorf("tokens in use after Run = %d, want 0", got)
+	}
+}
+
+// Late recruiting and lending must not break the budget: under a
+// three-level nested Run, at most GOMAXPROCS leaf bodies are ever running
+// at once, and every token is back when the top-level Run returns.
+func TestPoolRunNeverOversubscribes(t *testing.T) {
+	for _, procs := range []int{2, 4} {
+		withProcs(procs, func() {
+			ex := NewPool(16)
+			var active, peak, total atomic.Int64
+			ex.Run(5, func(i int) {
+				ex.Run(3+i, func(j int) {
+					ex.Run(7, func(int) {
+						a := active.Add(1)
+						for p := peak.Load(); a > p && !peak.CompareAndSwap(p, a); p = peak.Load() {
+						}
+						if (i+j)%3 == 0 {
+							time.Sleep(20 * time.Microsecond)
+						} else {
+							runtime.Gosched()
+						}
+						active.Add(-1)
+						total.Add(1)
+					})
+				})
+			})
+			if want := int64(7 * (3 + 4 + 5 + 6 + 7)); total.Load() != want {
+				t.Errorf("GOMAXPROCS=%d: %d leaf bodies ran, want %d", procs, total.Load(), want)
+			}
+			if p := peak.Load(); p > int64(procs) {
+				t.Errorf("GOMAXPROCS=%d: %d leaf bodies ran at once", procs, p)
+			}
+			if got := tokensInUse.Load(); got != 0 {
+				t.Errorf("GOMAXPROCS=%d: tokens in use after Run = %d, want 0", procs, got)
+			}
+		})
 	}
 }
 

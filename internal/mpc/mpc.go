@@ -22,11 +22,15 @@
 //
 // Machine-local work runs on a pluggable Executor (Config.Workers): the
 // sequential executor or a bounded worker pool that shares one global
-// GOMAXPROCS budget across nested simulations. Every parallel loop writes
-// disjoint state and merges in index order, and all per-instance randomness
-// comes from StreamRNG substreams keyed by instance index, so results are
-// bit-identical across executors and schedules. See README.md in this
-// directory for the executor model and the seed-derivation scheme.
+// GOMAXPROCS budget across nested simulations. A pool loop keeps
+// recruiting helpers after it starts, whenever another loop frees a
+// token, and a caller waiting on its helpers lends its CPU to the budget,
+// so a nested loop in a straggling instance can use it. Every parallel
+// loop writes disjoint state and merges in index order, and all
+// per-instance randomness comes from StreamRNG substreams keyed by
+// instance index, so results are bit-identical across executors and
+// schedules. See README.md in this directory for the executor model and
+// the seed-derivation scheme.
 package mpc
 
 import (
@@ -47,8 +51,11 @@ type Config struct {
 	// instance fan-outs: 1 (or 0 with Parallel unset) is the sequential
 	// executor, k > 1 a bounded pool of k workers, and any negative value a
 	// GOMAXPROCS-wide pool. All pools share one global GOMAXPROCS-1 helper
-	// budget, so nested simulations never oversubscribe the CPUs. Results
-	// are bit-identical across executors.
+	// budget, so nested simulations never oversubscribe the CPUs; a loop
+	// picks up tokens that free up while it runs, and a caller waiting on
+	// its helpers lends its CPU, so a nested loop can use a CPU that an
+	// outer fan-out leaves idle. Results are bit-identical across
+	// executors.
 	Workers int
 	// Parallel is the legacy toggle predating Workers; when Workers == 0 it
 	// selects a GOMAXPROCS-wide pool.

@@ -2,6 +2,8 @@ package randomize
 
 import (
 	"math/rand/v2"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/expander"
@@ -131,5 +133,38 @@ func TestBatchesParallelCharging(t *testing.T) {
 	if gs[0].Edges()[0] == gs[1].Edges()[0] && gs[0].Edges()[1] == gs[1].Edges()[1] &&
 		gs[0].Edges()[2] == gs[1].Edges()[2] && gs[0].Edges()[3] == gs[1].Edges()[3] {
 		t.Error("batches look identical; fresh randomness not used")
+	}
+}
+
+// Three Direct-engine batches on two CPUs: one batch runs alone at the
+// tail, and its walk blocks recruit the token a finished batch gave back
+// (or the CPU an idle caller lent). The batch graphs, their statistics and
+// the round count must still be bit-identical to the sequential run.
+func TestBatchesDeterministicOnTwoCPUs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	g, err := expander.SamplePermutationRegular(1024, 6, rand.New(rand.NewPCG(11, 11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := PracticalParams(g.N())
+	params.Engine = EngineDirect
+	type result struct {
+		graphs []*graph.Graph
+		stats  Stats
+		rounds int
+	}
+	run := func(workers int) result {
+		s := mpc.New(mpc.Config{MachineMemory: 1 << 16, Machines: 64, Workers: workers})
+		gs, stats, err := Batches(s, g, 16, 3, params, rand.New(rand.NewPCG(12, 12)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return result{gs, stats, s.Rounds()}
+	}
+	want := run(1)
+	for rep := 0; rep < 3; rep++ {
+		if got := run(-1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: Workers -1 diverged from Workers 1 (rounds %d vs %d)", rep, got.rounds, want.rounds)
+		}
 	}
 }
