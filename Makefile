@@ -64,9 +64,13 @@ repl-chaos-smoke:
 
 # Race-checked run of the packages with executor-level concurrency,
 # plus the replica apply path (repl tailers apply, and compact, through
-# the store while dynamic engines fold the batches).
+# the store while dynamic engines fold the batches). The second line
+# reruns the walk and pipeline determinism and oracle tests at
+# GOMAXPROCS 1, 2 and 3: randwalk's TestMain raises GOMAXPROCS to 4,
+# which can hide a schedule that only a narrower pool takes.
 race:
 	$(GO) test -race ./internal/mpc/ ./internal/parallel/ ./internal/algo/ ./internal/randwalk/ ./internal/randomize/ ./internal/baseline/ ./internal/service/ ./internal/store/ ./internal/repl/ ./internal/dynamic/
+	$(GO) test -cpu 1,2,3 -run 'Determin|Oracle' ./internal/randwalk/ ./internal/randomize/ ./internal/core/
 
 # One-iteration pass over the perf-critical benchmarks: a crash and
 # allocation gate (-benchmem), not a source of performance numbers —
@@ -83,7 +87,7 @@ race:
 # CI uploads the raw output as an artifact for benchstat diffs.
 bench-smoke:
 	$(GO) test -run=NONE -benchtime=1x -benchmem \
-		-bench='Pipeline|LayeredWalk|RandomizeBatches|MPCSort|RouteAllocs|IndependentWalksParallel|BinaryCodec|SolveNative|SolveMPC|SolveMapped' .
+		-bench='Pipeline|LayeredWalk|DirectWalksLazy|RandomizeBatches|MPCSort|RouteAllocs|IndependentWalksParallel|BinaryCodec|SolveNative|SolveMPC|SolveMapped' .
 	$(GO) test -run='ZeroAllocs' -benchtime=1x -benchmem \
 		-bench='QueryHit|QueryBatch|HTTPQuery|AppendForward' ./internal/service/
 	$(GO) test -run=NONE -benchtime=1x -benchmem \

@@ -187,6 +187,39 @@ func BenchmarkDirectWalks(b *testing.B) {
 	}
 }
 
+// BenchmarkDirectWalksLazy is one Step 2 walk batch in the shape of
+// perfbench's mpc-reference solve: k = 40 walks of T = 1009 steps from
+// every vertex of a 9-regular expander made lazy by 9 self-loops (27
+// adjacency entries per vertex). It walks 4 directBlock-sized blocks
+// (1024 vertices), so one iteration stays well under a second, and
+// reports wall time per walk step; run it with -cpu 1 for the
+// single-core kernel.
+func BenchmarkDirectWalksLazy(b *testing.B) {
+	const n, t, k = 1024, 1009, 40
+	rng := rand.New(rand.NewPCG(11, 11))
+	ex, err := gen.Expander(n, 8, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// A random perfect matching on top of the 8-regular expander makes it
+	// 9-regular, the degree the regularizer gives the mpc-reference input.
+	bld := graph.NewBuilderHint(n, ex.M()+n/2)
+	ex.ForEachEdge(func(e graph.Edge) { bld.AddEdge(e.U, e.V) })
+	perm := rng.Perm(n)
+	for i := 0; i < n; i += 2 {
+		bld.AddEdge(graph.Vertex(perm[i]), graph.Vertex(perm[i+1]))
+	}
+	lazy := graph.AddSelfLoops(bld.Build(), 9)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim := mpc.New(mpc.Config{MachineMemory: 1 << 16, Machines: 16, Workers: -1})
+		if _, err := randwalk.DirectWalks(sim, lazy, t, k, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*n*k*t), "ns/step")
+}
+
 // BenchmarkRandomizeBatches is Step 2 in the shape of perfbench's
 // mpc-reference solve: three Direct-engine batches of k = 40 lazy walks
 // from every vertex of an 8192-vertex regular expander (the size of the

@@ -132,11 +132,20 @@
 // frees up, and a caller waiting on its helpers lends its CPU, so the
 // last of the three Step 2 batches on a 2-vCPU host no longer runs on
 // one CPU: perfbench's mpc-reference solve went from 142–151% to
-// 184–185% CPU (user+sys over wall). Every repetition draws its
-// randomness from a PCG substream keyed by its index (mpc.StreamRNG), so
-// for a fixed seed the output is bit-identical regardless of worker count
-// or schedule; see internal/mpc/README.md for the executor model and the
-// seed-derivation scheme.
+// 184–185% CPU (user+sys over wall). Inside each batch, the walks of a
+// vertex block run four at a time on jump-ahead lanes of the block's PCG
+// stream (randwalk.DirectWalks), each reading the words it would read
+// alone, so the targets are unchanged. On the 2-vCPU Xeon host (Go 1.24)
+// BenchmarkDirectWalksLazy fell from 6.1–7.8 to 3.6–5.0 ns per walk step
+// at -cpu 1 and from 3.5–4.1 to 1.9–2.8 at -cpu 2 (five alternating runs
+// each), and perfbench's mpc_solve_s fell from a median of 4.07 s to
+// 2.57 s on giant-merging (10/10 alternating pairs) and from 4.10 s to
+// 2.50 s on fragmented-static (5/5), with the same 151 rounds.
+//
+// Every repetition draws its randomness from a PCG substream keyed by its
+// index (mpc.StreamRNG), so for a fixed seed the output is bit-identical
+// regardless of worker count or schedule; see internal/mpc/README.md for
+// the executor model and the seed-derivation scheme.
 //
 // # Evidence
 //

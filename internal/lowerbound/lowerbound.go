@@ -136,7 +136,9 @@ func (a *Adversary) Queries() int { return a.queries }
 func (a *Adversary) Undetermined() bool { return a.alive > 0 }
 
 // GreedyQueries plays the best strategy *for the algorithm*: repeatedly
-// query the edge contained in the most alive packing graphs. It returns
+// query the edge contained in the most alive packing graphs, the least
+// edge in (U, V) order among equally good ones, so the count does not
+// depend on map iteration order. It returns
 // the number of queries needed to eliminate every graph — an upper bound
 // on the query complexity that is within the multiplicity factor of the
 // adversary bound k/maxMult (Lemma 9.3's Ω(n/log n)).
@@ -156,7 +158,7 @@ func GreedyQueries(p *Packing) int {
 					c++
 				}
 			}
-			if c > best.c {
+			if c > best.c || c == best.c && edgeLess(e, best.e) {
 				best = ec{e: e, c: c}
 			}
 		}
@@ -219,10 +221,13 @@ func HardInstance(p *Packing, sideDegree int, connectedIdx int, rng *rand.Rand) 
 }
 
 func sortEdges(edges []graph.Edge) {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
+	sort.Slice(edges, func(i, j int) bool { return edgeLess(edges[i], edges[j]) })
+}
+
+// edgeLess orders edges by (U, V).
+func edgeLess(a, b graph.Edge) bool {
+	if a.U != b.U {
+		return a.U < b.U
+	}
+	return a.V < b.V
 }

@@ -151,3 +151,23 @@ func TestHardInstancePromise(t *testing.T) {
 		t.Error("want error for out-of-range index")
 	}
 }
+
+// GreedyQueries must not depend on map iteration order: E9's n = 400 row
+// (seed 1 in internal/bench) has tied argmax edges, and with ties left to
+// map order it read 6 or 7 from run to run.
+func TestGreedyQueriesDeterministic(t *testing.T) {
+	const n, runs = 400, 24
+	first := -1
+	for i := 0; i < runs; i++ {
+		p, err := DefaultPacking(n, rand.New(rand.NewPCG(1^0xabcdef, 900+n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := GreedyQueries(p)
+		if first < 0 {
+			first = q
+		} else if q != first {
+			t.Fatalf("run %d: GreedyQueries = %d, run 0 gave %d", i, q, first)
+		}
+	}
+}

@@ -258,8 +258,14 @@ func StreamRNG(seed1, seed2 uint64, stream uint64) *rand.Rand {
 // Source interface. StreamRNG(a,b,i) and StreamPCG(a,b,i) generate the
 // same underlying word sequence.
 func StreamPCG(seed1, seed2 uint64, stream uint64) *rand.PCG {
-	return rand.NewPCG(
-		mix(seed1^mix(stream*0x9e3779b97f4a7c15+0x6a09e667f3bcc909)),
-		mix(seed2+stream*0xd1342543de82ef95),
-	)
+	return rand.NewPCG(StreamSeeds(seed1, seed2, stream))
+}
+
+// StreamSeeds returns the initial 128-bit PCG state (hi, lo) of substream
+// stream of (seed1, seed2): StreamPCG(a, b, i) is rand.NewPCG of it. Hot
+// loops that keep the generator state in local variables start from it
+// and draw the same words as StreamPCG.
+func StreamSeeds(seed1, seed2 uint64, stream uint64) (hi, lo uint64) {
+	return mix(seed1 ^ mix(stream*0x9e3779b97f4a7c15+0x6a09e667f3bcc909)),
+		mix(seed2 + stream*0xd1342543de82ef95)
 }
