@@ -64,12 +64,13 @@ repl-chaos-smoke:
 
 # Race-checked run of the packages with executor-level concurrency,
 # plus the replica apply path (repl tailers apply, and compact, through
-# the store while dynamic engines fold the batches). The second line
+# the store while dynamic engines fold the batches), plus the HTTP client
+# that wccload's concurrent workers share. The second line
 # reruns the walk and pipeline determinism and oracle tests at
 # GOMAXPROCS 1, 2 and 3: randwalk's TestMain raises GOMAXPROCS to 4,
 # which can hide a schedule that only a narrower pool takes.
 race:
-	$(GO) test -race ./internal/mpc/ ./internal/parallel/ ./internal/algo/ ./internal/randwalk/ ./internal/randomize/ ./internal/baseline/ ./internal/service/ ./internal/store/ ./internal/repl/ ./internal/dynamic/
+	$(GO) test -race ./internal/mpc/ ./internal/parallel/ ./internal/algo/ ./internal/randwalk/ ./internal/randomize/ ./internal/baseline/ ./internal/service/ ./internal/store/ ./internal/repl/ ./internal/dynamic/ ./internal/client/
 	$(GO) test -cpu 1,2,3 -run 'Determin|Oracle' ./internal/randwalk/ ./internal/randomize/ ./internal/core/
 
 # One-iteration pass over the perf-critical benchmarks: a crash and

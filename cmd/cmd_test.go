@@ -1,6 +1,7 @@
 // Package cmd_test smoke-tests the executables end to end: build them
 // once, then drive the wccgen | wccfind pipe, the wccbench table output
-// the README advertises, and the wccserve HTTP lifecycle.
+// the README advertises, the wccserve HTTP lifecycle, and the wccstream
+// and wccload harnesses against a live wccserve.
 package cmd_test
 
 import (
@@ -27,7 +28,7 @@ func TestMain(m *testing.M) {
 	}
 	defer os.RemoveAll(dir)
 	binDir = dir
-	for _, tool := range []string{"wccgen", "wccfind", "wccbench", "wccserve", "wccstream"} {
+	for _, tool := range []string{"wccgen", "wccfind", "wccbench", "wccserve", "wccstream", "wccload"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, tool), "./"+tool)
 		cmd.Dir = "."
 		if out, err := cmd.CombinedOutput(); err != nil {
@@ -79,7 +80,7 @@ func TestGenBinaryPipeFind(t *testing.T) {
 		t.Errorf("binary output %d bytes, text %d — binary should be smaller", len(bin), len(text))
 	}
 	for _, args := range [][]string{
-		{"-algo", "hashtomin", "-sizes"},                     // auto-detect
+		{"-algo", "hashtomin", "-sizes"},                      // auto-detect
 		{"-algo", "hashtomin", "-format", "binary", "-sizes"}, // pinned
 	} {
 		out := runTool(t, []byte(bin), "wccfind", args...)
@@ -448,5 +449,28 @@ func TestStreamReplay(t *testing.T) {
 		"-addr", base, "-graph", graphPath, "-trace", tracePath, "-verify")
 	if !strings.Contains(out, "final: version=8") || !strings.Contains(out, "solve agrees") {
 		t.Errorf("trace replay output:\n%s", out)
+	}
+}
+
+// TestLoadStorm runs a one-second wccload storm in single-query mode and
+// in batch mode, with the read targets naming the server twice, and
+// checks the summary lines and that no request failed.
+func TestLoadStorm(t *testing.T) {
+	base := startServe(t)
+	for _, mode := range [][]string{nil, {"-batch", "8"}} {
+		args := append([]string{"-addr", base, "-targets", base + "," + base,
+			"-family", "gnd", "-n", "500", "-d", "4", "-c", "2", "-duration", "1s"}, mode...)
+		out := runTool(t, nil, "wccload", args...)
+		for _, want := range []string{"read-targets=2", "queries/sec", "(0 errors,", "latency: p50=", "cache hit ratio"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("wccload %v: output missing %q:\n%s", mode, want, out)
+			}
+		}
+		if n := strings.Count(out, "requests, 0 errors"); n != 2 {
+			t.Errorf("wccload %v: %d of 2 per-target lines report 0 errors:\n%s", mode, n, out)
+		}
+		if mode != nil && !strings.Contains(out, " batch=8") {
+			t.Errorf("wccload %v: batch mode not reported:\n%s", mode, out)
+		}
 	}
 }

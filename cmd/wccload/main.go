@@ -1,8 +1,9 @@
 // Command wccload is the query-storm load harness for wccserve: it
-// drives the O(1) read path — the one ISSUE 5 rebuilt to be lock-free
-// and allocation-free — with many concurrent clients and reports
-// sustained throughput and latency percentiles, so read-path regressions
-// show up as numbers, not vibes.
+// drives the O(1) read path — lock-free and allocation-free on a cache
+// hit — with many concurrent clients and reports sustained throughput
+// and latency percentiles, so read-path regressions show up as numbers,
+// not vibes. Unlike perfbench, it aims at a running deployment and its
+// replicas. Every request goes through internal/client.
 //
 // It prepares the target itself (generate or reuse a graph, solve it
 // once) and then hammers queries for a fixed duration:
@@ -36,21 +37,20 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"net/http"
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/client"
+	"repro/internal/gen"
 	"repro/internal/retry"
+	"repro/internal/service"
 )
 
 func main() {
@@ -82,76 +82,52 @@ func run() error {
 	if *conc <= 0 || *batch < 0 || *retries < 0 {
 		return fmt.Errorf("-c must be positive, -batch and -retries non-negative")
 	}
-	c := &client{
-		base:   strings.TrimRight(*addr, "/"),
-		http:   &http.Client{Timeout: time.Minute},
-		policy: retry.New(*retries+1, 10*time.Millisecond, time.Second, *seed),
-	}
+	c := client.New(*addr, &http.Client{Timeout: time.Minute},
+		retry.New(*retries+1, 10*time.Millisecond, time.Second, *seed))
 	// Read targets: the replicas queries fan out to. Writes always aim
 	// at -addr (the primary — a replica would answer them 421); with no
 	// -targets the primary serves the reads too.
-	readBases := []string{c.base}
-	if *targets != "" {
-		readBases = readBases[:0]
-		for _, tgt := range strings.Split(*targets, ",") {
-			tgt = strings.TrimRight(strings.TrimSpace(tgt), "/")
-			if tgt == "" {
-				continue
-			}
-			readBases = append(readBases, tgt)
-		}
-		if len(readBases) == 0 {
-			return fmt.Errorf("-targets lists no usable URLs")
-		}
+	readers, err := c.ReadTargets(*targets)
+	if err != nil {
+		return err
 	}
 
 	// Prepare: resolve or generate the graph, then solve once so the
 	// storm below is all cache hits — the path under test.
-	id, vertices := *graphID, 0
-	var err error
-	if id == "" {
-		id, vertices, err = c.generate(*family, *n, *d, *seed)
+	var g service.GraphInfo
+	if *graphID == "" {
+		g, err = c.Generate(service.GenerateRequest{Name: "wccload",
+			Spec: gen.Spec{Family: *family, N: *n, D: *d, Seed: *seed}})
 	} else {
-		vertices, err = c.lookup(id)
+		g, err = c.Graph(*graphID)
 	}
 	if err != nil {
 		return err
 	}
-	if err := c.solve(id, *algo); err != nil {
+	id, vertices := g.ID, g.N
+	if _, err := c.Solve(id, *algo, -1); err != nil {
 		return err
 	}
-	// A labeling is derived state, not replicated state: each replica
-	// computes its own. Solve once per read target so the storm below
-	// measures the query path, not first-query solve cost. Replication
-	// is asynchronous, so a just-created graph may not have reached a
-	// replica yet — wait out the discovery lag briefly, then fail
-	// loudly before the clock starts.
-	for _, rb := range readBases {
-		if rb == c.base {
+	// Solve once per read target too, so the storm below measures the
+	// query path, not first-query solve cost.
+	for _, rc := range readers {
+		if rc == c {
 			continue
 		}
-		deadline := time.Now().Add(15 * time.Second)
-		for {
-			err := c.solveTo(rb, id, *algo)
-			if err == nil {
-				break
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("read target %s: %w", rb, err)
-			}
-			time.Sleep(250 * time.Millisecond)
+		if err := rc.SolveReplicated(id, *algo); err != nil {
+			return fmt.Errorf("read target %s: %w", rc.Base, err)
 		}
 	}
 	fmt.Printf("target %s: n=%d algo=%s workers=%d duration=%v", id, vertices, *algo, *conc, *dur)
 	if *batch > 0 {
 		fmt.Printf(" batch=%d", *batch)
 	}
-	if len(readBases) > 1 || readBases[0] != c.base {
-		fmt.Printf(" read-targets=%d", len(readBases))
+	if readers[0] != c {
+		fmt.Printf(" read-targets=%d", len(readers))
 	}
 	fmt.Println()
 
-	before, err := c.stats()
+	before, err := c.Stats()
 	if err != nil {
 		return err
 	}
@@ -165,9 +141,9 @@ func run() error {
 		requests int64
 		queries  int64
 		errors   int64
-		perLat   = make([][]time.Duration, len(readBases))
-		perReqs  = make([]int64, len(readBases))
-		perErrs  = make([]int64, len(readBases))
+		perLat   = make([][]time.Duration, len(readers))
+		perReqs  = make([]int64, len(readers))
+		perErrs  = make([]int64, len(readers))
 	)
 	deadline := time.Now().Add(*dur)
 	start := time.Now()
@@ -178,8 +154,8 @@ func run() error {
 			// Workers are dealt round-robin across the read targets, so
 			// every target sees the same worker count (±1) and the
 			// per-target split compares like with like.
-			ti := worker % len(readBases)
-			rb := readBases[ti]
+			ti := worker % len(readers)
+			rc := readers[ti]
 			rng := rand.New(rand.NewPCG(uint64(worker)+1, 0x10ad))
 			lat := make([]time.Duration, 0, 1<<16)
 			var reqs, qs, errs int64
@@ -191,12 +167,10 @@ func run() error {
 				if *batch > 0 {
 					body.Reset()
 					buildBatchBody(&body, id, *algo, *batch, rng, vertices)
-					err = c.postBatchTo(rb, body.Bytes())
+					err = rc.QueryBatch(body.Bytes())
 					qs += int64(*batch)
 				} else {
-					urlBuf = urlBuf[:0]
-					urlBuf = append(urlBuf, rb...)
-					urlBuf = append(urlBuf, "/v1/query/same-component?graph="...)
+					urlBuf = append(urlBuf[:0], "/v1/query/same-component?graph="...)
 					urlBuf = append(urlBuf, id...)
 					urlBuf = append(urlBuf, "&algo="...)
 					urlBuf = append(urlBuf, *algo...)
@@ -204,7 +178,7 @@ func run() error {
 					urlBuf = strconv.AppendInt(urlBuf, int64(rng.IntN(vertices)), 10)
 					urlBuf = append(urlBuf, "&v="...)
 					urlBuf = strconv.AppendInt(urlBuf, int64(rng.IntN(vertices)), 10)
-					err = c.getOK(string(urlBuf))
+					err = rc.Get(string(urlBuf))
 					qs++
 				}
 				lat = append(lat, time.Since(t0))
@@ -227,7 +201,7 @@ func run() error {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	after, err := c.stats()
+	after, err := c.Stats()
 	if err != nil {
 		return err
 	}
@@ -235,7 +209,7 @@ func run() error {
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	fmt.Printf("sustained: %.0f requests/sec, %.0f queries/sec over %v (%d errors, %d retries)\n",
 		float64(requests)/elapsed.Seconds(), float64(queries)/elapsed.Seconds(),
-		elapsed.Round(time.Millisecond), errors, c.retries.Load())
+		elapsed.Round(time.Millisecond), errors, c.Retries())
 	if len(all) > 0 {
 		fmt.Printf("latency: p50=%v p90=%v p99=%v max=%v\n",
 			pct(all, 50), pct(all, 90), pct(all, 99), all[len(all)-1])
@@ -243,11 +217,11 @@ func run() error {
 	// Per-target split: with reads fanned across replicas, a lagging or
 	// flaky target shows up as its own error count and latency tail, not
 	// as noise smeared over the aggregate.
-	if len(readBases) > 1 {
-		for ti, rb := range readBases {
+	if len(readers) > 1 {
+		for ti, rc := range readers {
 			lat := perLat[ti]
 			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-			line := fmt.Sprintf("  target %s: %d requests, %d errors", rb, perReqs[ti], perErrs[ti])
+			line := fmt.Sprintf("  target %s: %d requests, %d errors", rc.Base, perReqs[ti], perErrs[ti])
 			if len(lat) > 0 {
 				line += fmt.Sprintf(", p50=%v p99=%v max=%v", pct(lat, 50), pct(lat, 99), lat[len(lat)-1])
 			}
@@ -260,7 +234,7 @@ func run() error {
 		ratio = float64(dh) / float64(dl)
 	}
 	fmt.Printf("server: %d lookups during the storm, cache hit ratio %.4f (lifetime %.4f)\n",
-		dl, ratio, after.Ratio)
+		dl, ratio, after.HitRatio)
 	if errors > 0 {
 		return fmt.Errorf("%d requests failed", errors)
 	}
@@ -301,128 +275,4 @@ func buildBatchBody(w *bytes.Buffer, id, algo string, k int, rng *rand.Rand, n i
 		fmt.Fprintf(w, `{"op":"same-component","u":%d,"v":%d}`, rng.IntN(n), rng.IntN(n))
 	}
 	w.WriteString(`]}`)
-}
-
-type client struct {
-	base    string
-	http    *http.Client
-	policy  *retry.Policy
-	retries atomic.Int64
-}
-
-// do issues one logical request, replaying the byte-slice body on each
-// attempt. Connection-level errors and shed/transient statuses
-// (429/502/503/504) are retried with jittered backoff, honoring a
-// server-supplied Retry-After floor — so a storm that briefly saturates
-// the admission controller degrades into throughput, not into a wall of
-// client errors. Retries are counted for the final summary.
-func (c *client) do(method, url, contentType string, body []byte, out any) error {
-	for attempt := 0; ; attempt++ {
-		retryable, floor, err := c.try(method, url, contentType, body, out)
-		if err == nil {
-			return nil
-		}
-		if !retryable || attempt+1 >= c.policy.Attempts {
-			return err
-		}
-		c.retries.Add(1)
-		time.Sleep(c.policy.Delay(attempt, floor))
-	}
-}
-
-func (c *client) try(method, url, contentType string, body []byte, out any) (retryable bool, floor time.Duration, err error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, url, rd)
-	if err != nil {
-		return false, 0, err
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return true, 0, err // connection refused/reset: transient by nature
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return retry.RetryStatus(resp.StatusCode), retry.RetryAfter(resp.Header),
-			fmt.Errorf("%s %s: %d %s", req.Method, req.URL.Path, resp.StatusCode, bytes.TrimSpace(data))
-	}
-	if out != nil {
-		return false, 0, json.NewDecoder(resp.Body).Decode(out)
-	}
-	_, err = io.Copy(io.Discard, resp.Body)
-	return false, 0, err
-}
-
-func (c *client) getJSON(path string, out any) error {
-	return c.do("GET", c.base+path, "", nil, out)
-}
-
-// getOK fetches url and discards the body — the storm only needs the
-// status; parsing every response would measure the client, not the
-// server.
-func (c *client) getOK(url string) error {
-	return c.do("GET", url, "", nil, nil)
-}
-
-// postBatchTo aims a batch query at one read target — the primary or
-// any replica; the batch endpoint is pure read path.
-func (c *client) postBatchTo(base string, body []byte) error {
-	return c.do("POST", base+"/v1/query/batch", "application/json", body, nil)
-}
-
-func (c *client) generate(family string, n, d int, seed uint64) (string, int, error) {
-	body, _ := json.Marshal(map[string]any{
-		"name": "wccload", "family": family, "n": n, "d": d, "seed": seed,
-	})
-	var out struct {
-		ID string `json:"id"`
-		N  int    `json:"n"`
-	}
-	if err := c.do("POST", c.base+"/v1/graphs/generate", "application/json", body, &out); err != nil {
-		return "", 0, err
-	}
-	return out.ID, out.N, nil
-}
-
-func (c *client) lookup(id string) (int, error) {
-	var out struct {
-		N int `json:"n"`
-	}
-	if err := c.getJSON("/v1/graphs/"+id, &out); err != nil {
-		return 0, err
-	}
-	return out.N, nil
-}
-
-func (c *client) solve(id, algo string) error {
-	return c.solveTo(c.base, id, algo)
-}
-
-func (c *client) solveTo(base, id, algo string) error {
-	body, _ := json.Marshal(map[string]any{"graph": id, "algo": algo, "wait": true})
-	return c.do("POST", base+"/v1/solve", "application/json", body, nil)
-}
-
-type statsSnap struct {
-	Hits   int64
-	Misses int64
-	Ratio  float64
-}
-
-func (c *client) stats() (statsSnap, error) {
-	var out struct {
-		CacheHits     int64   `json:"cacheHits"`
-		CacheMisses   int64   `json:"cacheMisses"`
-		CacheHitRatio float64 `json:"cacheHitRatio"`
-	}
-	if err := c.getJSON("/v1/stats", &out); err != nil {
-		return statsSnap{}, err
-	}
-	return statsSnap{Hits: out.CacheHits, Misses: out.CacheMisses, Ratio: out.CacheHitRatio}, nil
 }

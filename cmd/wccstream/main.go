@@ -43,11 +43,8 @@ package main
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"math/rand/v2"
 	"net/http"
@@ -57,6 +54,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/retry"
@@ -128,111 +126,84 @@ func run() error {
 	if *retries < 0 {
 		return fmt.Errorf("-retries must be non-negative")
 	}
-	client := &streamClient{
-		base:   strings.TrimRight(*addr, "/"),
-		http:   &http.Client{Timeout: 5 * time.Minute},
-		policy: retry.New(*retries+1, 10*time.Millisecond, time.Second, *traceSeed),
-	}
+	c := client.New(*addr, &http.Client{Timeout: 5 * time.Minute},
+		retry.New(*retries+1, 10*time.Millisecond, time.Second, *traceSeed))
 	// Read targets: replicas the interleaved queries rotate across.
 	// Appends always go to -addr — a replica would refuse them with 421.
-	readClients := []*streamClient{client}
-	if *targets != "" {
-		readClients = readClients[:0]
-		for _, tgt := range strings.Split(*targets, ",") {
-			tgt = strings.TrimRight(strings.TrimSpace(tgt), "/")
-			if tgt == "" {
-				continue
-			}
-			readClients = append(readClients, &streamClient{base: tgt, http: client.http, policy: client.policy})
-		}
-		if len(readClients) == 0 {
-			return fmt.Errorf("-targets lists no usable URLs")
-		}
+	readers, err := c.ReadTargets(*targets)
+	if err != nil {
+		return err
 	}
 
 	// Load the base graph and solve it once; every later answer is
 	// incremental maintenance of this labeling.
-	id, err := client.load(base)
+	loaded, err := c.Load("wccstream", base)
 	if err != nil {
 		return err
 	}
+	id := loaded.ID
 	fmt.Printf("loaded %s: n=%d m=%d batches=%d\n", id, base.N(), base.M(), len(batchList))
-	comps, err := client.solve(id, *algo, -1)
+	solved, err := c.Solve(id, *algo, -1)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("solved with %s: components=%d\n", *algo, comps)
+	fmt.Printf("solved with %s: components=%d\n", *algo, solved.Components)
 
-	// Each read target computes its own labeling (derived state is not
-	// replicated): solve there before the clock starts. Replication is
-	// asynchronous, so wait out the discovery lag on a just-created
-	// graph briefly, then fail loudly.
-	for _, rc := range readClients {
-		if rc == client {
+	// Each read target computes its own labeling: solve there before
+	// the clock starts.
+	for _, rc := range readers {
+		if rc == c {
 			continue
 		}
-		deadline := time.Now().Add(15 * time.Second)
-		for {
-			_, err := rc.solve(id, *algo, -1)
-			if err == nil {
-				break
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("read target %s: %w", rc.base, err)
-			}
-			time.Sleep(250 * time.Millisecond)
+		if err := rc.SolveReplicated(id, *algo); err != nil {
+			return fmt.Errorf("read target %s: %w", rc.Base, err)
 		}
 	}
 
 	rng := rand.New(rand.NewPCG(*traceSeed, 0xbeef))
 	start := time.Now()
 	edgesSent, queriesSent := 0, 0
-	perQueries := make([]int, len(readClients))
-	perErrs := make([]int, len(readClients))
-	perLat := make([][]time.Duration, len(readClients))
+	perQueries := make([]int, len(readers))
+	perErrs := make([]int, len(readers))
+	perLat := make([][]time.Duration, len(readers))
 	for i, batch := range batchList {
 		if *pace && i < len(stamps) {
 			if wait := time.Until(start.Add(stamps[i])); wait > 0 {
 				time.Sleep(wait)
 			}
 		}
-		if err := client.append(id, batch, *grow); err != nil {
+		if _, err := c.Append(id, batch, *grow); err != nil {
 			return fmt.Errorf("batch %d: %w", i, err)
 		}
 		edgesSent += len(batch)
 		for q := 0; q < *queries; q++ {
 			u, v := rng.IntN(base.N()), rng.IntN(base.N())
-			ti := queriesSent % len(readClients)
+			ti := queriesSent % len(readers)
 			t0 := time.Now()
-			_, err := readClients[ti].sameComponent(id, *algo, u, v)
+			_, err := readers[ti].SameComponent(id, *algo, u, v)
 			perLat[ti] = append(perLat[ti], time.Since(t0))
 			perQueries[ti]++
 			queriesSent++
 			if err != nil {
 				perErrs[ti]++
-				return fmt.Errorf("batch %d query via %s: %w", i, readClients[ti].base, err)
+				return fmt.Errorf("batch %d query via %s: %w", i, readers[ti].Base, err)
 			}
 		}
 	}
 	elapsed := time.Since(start)
 
-	final, err := client.versions(id)
+	vl, err := c.Versions(id)
 	if err != nil {
 		return err
 	}
+	final := vl.Versions[len(vl.Versions)-1]
 	fmt.Printf("streamed %d batches (%d edges) in %v\n", len(batchList), edgesSent, elapsed.Round(time.Millisecond))
-	totalRetries := client.retries
-	for _, rc := range readClients {
-		if rc != client {
-			totalRetries += rc.retries
-		}
-	}
 	fmt.Printf("sustained: %.1f batches/sec, %.0f edges/sec, %d interleaved queries, %d retries\n",
-		float64(len(batchList))/elapsed.Seconds(), float64(edgesSent)/elapsed.Seconds(), queriesSent, totalRetries)
-	if len(readClients) > 1 {
-		for ti, rc := range readClients {
+		float64(len(batchList))/elapsed.Seconds(), float64(edgesSent)/elapsed.Seconds(), queriesSent, c.Retries())
+	if len(readers) > 1 {
+		for ti, rc := range readers {
 			lat := perLat[ti]
-			line := fmt.Sprintf("  target %s: %d queries, %d errors", rc.base, perQueries[ti], perErrs[ti])
+			line := fmt.Sprintf("  target %s: %d queries, %d errors", rc.Base, perQueries[ti], perErrs[ti])
 			if len(lat) > 0 {
 				slices.Sort(lat)
 				line += fmt.Sprintf(", p50=%v p99=%v", lat[(len(lat)-1)/2], lat[(len(lat)*99+99)/100-1])
@@ -250,15 +221,15 @@ func run() error {
 		if *algo == "dynamic" {
 			verifier = "hashtomin"
 		}
-		fresh, err := client.solve(id, verifier, final.Version)
+		fresh, err := c.Solve(id, verifier, final.Version)
 		if err != nil {
 			return err
 		}
-		if fresh != final.Components {
+		if fresh.Components != final.Components {
 			return fmt.Errorf("VERIFY FAILED: incremental components=%d, fresh %s solve=%d",
-				final.Components, verifier, fresh)
+				final.Components, verifier, fresh.Components)
 		}
-		fmt.Printf("verify: fresh %s solve agrees (components=%d)\n", verifier, fresh)
+		fmt.Printf("verify: fresh %s solve agrees (components=%d)\n", verifier, fresh.Components)
 	}
 	return nil
 }
@@ -418,137 +389,4 @@ func readTraceFile(path string, maxVertex int) ([][]graph.Edge, []time.Duration,
 	}
 	flush()
 	return batches, stamps, nil
-}
-
-// streamClient is the minimal wccserve HTTP client the replay needs.
-// Byte-slice bodies (rather than io.Reader) are what make its retry
-// loop possible: every attempt replays the same bytes.
-type streamClient struct {
-	base    string
-	http    *http.Client
-	policy  *retry.Policy
-	retries int
-}
-
-// do issues one logical request, retrying connection errors and
-// shed/transient statuses (429/502/503/504) with jittered backoff and a
-// Retry-After floor. A stream replayed through a briefly saturated or
-// degraded server waits out the pressure instead of dying mid-trace.
-func (c *streamClient) do(method, path, contentType string, body []byte, out any) error {
-	for attempt := 0; ; attempt++ {
-		retryable, floor, err := c.try(method, path, contentType, body, out)
-		if err == nil {
-			return nil
-		}
-		if !retryable || attempt+1 >= c.policy.Attempts {
-			return err
-		}
-		c.retries++
-		time.Sleep(c.policy.Delay(attempt, floor))
-	}
-}
-
-func (c *streamClient) try(method, path, contentType string, body []byte, out any) (retryable bool, floor time.Duration, err error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, c.base+path, rd)
-	if err != nil {
-		return false, 0, err
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return true, 0, err // connection refused/reset: transient by nature
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode >= 300 {
-		return retry.RetryStatus(resp.StatusCode), retry.RetryAfter(resp.Header),
-			fmt.Errorf("%s %s: %d %s", method, path, resp.StatusCode, bytes.TrimSpace(data))
-	}
-	if out != nil {
-		return false, 0, json.Unmarshal(data, out)
-	}
-	return false, 0, nil
-}
-
-func (c *streamClient) post(path, contentType string, body []byte, out any) error {
-	return c.do("POST", path, contentType, body, out)
-}
-
-func (c *streamClient) get(path string, out any) error {
-	return c.do("GET", path, "", nil, out)
-}
-
-func (c *streamClient) load(g *graph.Graph) (string, error) {
-	var buf bytes.Buffer
-	if err := graph.WriteEdgeList(&buf, g); err != nil {
-		return "", err
-	}
-	var out struct {
-		ID string `json:"id"`
-	}
-	if err := c.post("/v1/graphs?name=wccstream", "text/plain", buf.Bytes(), &out); err != nil {
-		return "", err
-	}
-	return out.ID, nil
-}
-
-func (c *streamClient) solve(id, algo string, version int) (components int, err error) {
-	req := map[string]any{"graph": id, "algo": algo, "wait": true}
-	if version >= 0 {
-		req["version"] = version
-	}
-	body, _ := json.Marshal(req)
-	var out struct {
-		Components int `json:"components"`
-	}
-	if err := c.post("/v1/solve", "application/json", body, &out); err != nil {
-		return 0, err
-	}
-	return out.Components, nil
-}
-
-func (c *streamClient) append(id string, batch []graph.Edge, grow bool) error {
-	var buf bytes.Buffer
-	if err := graph.WriteEdgeBatch(&buf, batch); err != nil {
-		return err
-	}
-	path := "/v1/graphs/" + id + "/edges"
-	if grow {
-		path += "?grow=1"
-	}
-	return c.post(path, "text/plain", buf.Bytes(), nil)
-}
-
-func (c *streamClient) sameComponent(id, algo string, u, v int) (bool, error) {
-	var out struct {
-		Same bool `json:"same"`
-	}
-	err := c.get(fmt.Sprintf("/v1/query/same-component?graph=%s&algo=%s&u=%d&v=%d", id, algo, u, v), &out)
-	return out.Same, err
-}
-
-type versionInfo struct {
-	Version    int `json:"version"`
-	N          int `json:"n"`
-	M          int `json:"m"`
-	Components int `json:"components"`
-}
-
-func (c *streamClient) versions(id string) (versionInfo, error) {
-	var out struct {
-		Versions []versionInfo `json:"versions"`
-	}
-	if err := c.get("/v1/graphs/"+id+"/versions", &out); err != nil {
-		return versionInfo{}, err
-	}
-	if len(out.Versions) == 0 {
-		return versionInfo{}, fmt.Errorf("no versions reported")
-	}
-	return out.Versions[len(out.Versions)-1], nil
 }

@@ -53,6 +53,17 @@
 // cmd/wccload is the query-storm load harness reporting throughput and
 // latency percentiles. See internal/service/README.md, "Performance &
 // tuning", for the read-path design and benchmark methodology.
+// internal/client is the one typed Go client of this API: a method per
+// endpoint that wccload and wccstream call, decoding into the request
+// and response types internal/service declares beside its handlers
+// (wire.go), and one retry loop over internal/retry. Its appends carry
+// the digest of the last version it saw as If-Match, so an append
+// retried after a lost response comes back applied=false instead of
+// landing twice. wccload is kept beside perfbench because they measure
+// different things: perfbench can drive only wccserve children it starts
+// itself, and its query storm is one goroutine, while wccload aims -c
+// concurrent workers at an existing deployment and its -targets
+// replicas.
 //
 // # Dynamic connectivity
 //

@@ -108,9 +108,9 @@ func (o Options) withDefaults(m int) Options {
 			records = 16
 		}
 		// Preserve the execution-engine fields across the size derivation.
-		workers, parallel, executor := o.Cluster.Workers, o.Cluster.Parallel, o.Cluster.Executor
+		workers, executor := o.Cluster.Workers, o.Cluster.Executor
 		o.Cluster = mpc.AutoConfig(records, 0.5, 2)
-		o.Cluster.Workers, o.Cluster.Parallel, o.Cluster.Executor = workers, parallel, executor
+		o.Cluster.Workers, o.Cluster.Executor = workers, executor
 	}
 	if o.Cluster.Workers == 0 {
 		o.Cluster.Workers = o.Workers

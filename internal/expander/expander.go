@@ -181,11 +181,12 @@ func constructLargeBlock(sim *mpc.Sim, ni, d int, rng *rand.Rand) (*graph.Graph,
 			}
 		}
 		// Sort by key on a sub-simulation (round cost charged by caller;
-		// memory behaviour still validated against the same machine size).
+		// memory behaviour still validated against the same machine size)
+		// that runs on the caller's executor.
 		sub := mpc.New(mpc.Config{
 			MachineMemory: sim.Config().MachineMemory,
 			Machines:      (ni+sim.Config().MachineMemory-1)/sim.Config().MachineMemory + 1,
-			Parallel:      sim.Config().Parallel,
+			Executor:      sim.Executor(),
 		})
 		sorted := mpc.SortByKey(sub, mpc.Distribute(sub, records), func(r permRecord) uint64 { return r.key })
 		if err := sub.Err(); err != nil {

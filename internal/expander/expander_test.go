@@ -2,6 +2,8 @@ package expander
 
 import (
 	"math/rand/v2"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -128,6 +130,51 @@ func TestConstructMPCLargeBlocks(t *testing.T) {
 	// expander: check connectivity and a mild gap bound.
 	if gap := spectral.Lambda2(gs[1]); gap < 0.1 {
 		t.Errorf("large-block λ2 = %.4f", gap)
+	}
+}
+
+// countingExecutor runs on an inner executor and counts its Run calls.
+type countingExecutor struct {
+	inner mpc.Executor
+	runs  atomic.Int64
+}
+
+func (c *countingExecutor) Workers() int { return c.inner.Workers() }
+
+func (c *countingExecutor) Run(n int, fn func(i int)) {
+	c.runs.Add(1)
+	c.inner.Run(n, fn)
+}
+
+// TestConstructMPCSortRunsOnCallerExecutor: the block sort of a block
+// larger than s runs on a sub-simulation, and that sub-simulation must
+// use the caller's executor. ConstructMPC does no executor work on the
+// caller's sim itself, so every counted Run is the sort's. The output
+// and the rounds equal the sequential run's.
+func TestConstructMPCSortRunsOnCallerExecutor(t *testing.T) {
+	sizes := []int{100, 300, 5}
+	build := func(cfg mpc.Config) ([]*graph.Graph, int) {
+		t.Helper()
+		sim := mpc.New(cfg)
+		gs, err := ConstructMPC(sim, sizes, 6, 0.1, rand.New(rand.NewPCG(6, 6)))
+		if err != nil || sim.Err() != nil {
+			t.Fatalf("ConstructMPC: %v, %v", err, sim.Err())
+		}
+		return gs, sim.Rounds()
+	}
+	ex := &countingExecutor{inner: mpc.NewPool(-1)}
+	got, gotRounds := build(mpc.Config{MachineMemory: 32, Machines: 64, Executor: ex})
+	want, wantRounds := build(mpc.Config{MachineMemory: 32, Machines: 64, Workers: 1})
+	if ex.runs.Load() == 0 {
+		t.Error("the block sort did not run on the caller's executor")
+	}
+	if gotRounds != wantRounds {
+		t.Errorf("rounds = %d, sequential run %d", gotRounds, wantRounds)
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i].Edges(), want[i].Edges()) {
+			t.Errorf("block %d differs from the sequential run", i)
+		}
 	}
 }
 

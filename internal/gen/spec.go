@@ -14,17 +14,17 @@ import (
 // graphs for the same spec.
 type Spec struct {
 	// Family is the graph family (see Families).
-	Family string
+	Family string `json:"family"`
 	// N is the vertex count (rows for grid, dimension for hypercube, ring
 	// length for ringofcliques).
-	N int
+	N int `json:"n"`
 	// D is the degree parameter (columns for grid, clique size for
 	// ringofcliques).
-	D int
+	D int `json:"d"`
 	// Sizes lists the component sizes for the "union" family.
-	Sizes []int
+	Sizes []int `json:"sizes,omitempty"`
 	// Seed drives the randomized families.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 }
 
 // specBuilders maps family name to constructor. Families that ignore a

@@ -325,9 +325,10 @@ func Simplify(g *Graph) *Graph {
 }
 
 // AddSelfLoops returns a copy of g with k self-loops added at every vertex.
-// Section 5.2 uses this to turn random walks into lazy random walks: adding
-// deg-many loops to a Δ-regular graph yields a 2Δ-regular graph whose plain
-// walk is the lazy walk of the original.
+// Section 5.2 uses this to turn random walks into lazy random walks. Each
+// loop is listed twice in the adjacency and counts 2 toward the degree,
+// so Δ loops make a Δ-regular graph 3Δ-regular, whose plain walk stays
+// put with probability 2/3 rather than the lazy walk's 1/2.
 func AddSelfLoops(g *Graph, k int) *Graph {
 	b := NewBuilderHint(g.N(), g.M()+g.N()*k)
 	g.ForEachEdge(func(e Edge) { b.AddEdge(e.U, e.V) })

@@ -249,8 +249,6 @@ func TestConfigExecutorResolution(t *testing.T) {
 		{Config{Workers: 1}, 1},
 		{Config{Workers: 6}, 6},
 		{Config{Workers: -1}, runtime.GOMAXPROCS(0)},
-		{Config{Parallel: true}, runtime.GOMAXPROCS(0)},
-		{Config{Workers: 1, Parallel: true}, 1}, // Workers wins over legacy flag
 		{Config{Executor: NewPool(3)}, 3},
 	}
 	for _, tt := range tests {

@@ -48,8 +48,7 @@ type Config struct {
 	// Machines is the number of machines.
 	Machines int
 	// Workers selects the execution engine for machine-local work and
-	// instance fan-outs: 1 (or 0 with Parallel unset) is the sequential
-	// executor, k > 1 a bounded pool of k workers, and any negative value a
+	// instance fan-outs: 0 or 1 is the sequential executor, k > 1 a bounded pool of k workers, and any negative value a
 	// GOMAXPROCS-wide pool. All pools share one global GOMAXPROCS-1 helper
 	// budget, so nested simulations never oversubscribe the CPUs; a loop
 	// picks up tokens that free up while it runs, and a caller waiting on
@@ -57,11 +56,8 @@ type Config struct {
 	// outer fan-out leaves idle. Results are bit-identical across
 	// executors.
 	Workers int
-	// Parallel is the legacy toggle predating Workers; when Workers == 0 it
-	// selects a GOMAXPROCS-wide pool.
-	Parallel bool
-	// Executor, when non-nil, overrides Workers/Parallel with a custom
-	// executor. Fork children inherit it.
+	// Executor, when non-nil, overrides Workers with a custom executor.
+	// Fork children inherit it.
 	Executor Executor
 }
 
@@ -70,18 +66,10 @@ func (cfg Config) executor() Executor {
 	if cfg.Executor != nil {
 		return cfg.Executor
 	}
-	w := cfg.Workers
-	if w == 0 {
-		if cfg.Parallel {
-			w = -1
-		} else {
-			w = 1
-		}
-	}
-	if w == 1 {
+	if cfg.Workers == 0 || cfg.Workers == 1 {
 		return Sequential
 	}
-	return NewPool(w)
+	return NewPool(cfg.Workers)
 }
 
 // AutoConfig returns a cluster sized for an input of totalRecords records

@@ -275,8 +275,8 @@ func TestRouteConservesQuick(t *testing.T) {
 // The parallel executor must produce identical results to the sequential
 // one (byte-for-byte determinism given the same seed).
 func TestParallelDeterminism(t *testing.T) {
-	run := func(parallel bool) []int {
-		s := New(Config{MachineMemory: 1000, Machines: 16, Parallel: parallel})
+	run := func(workers int) []int {
+		s := New(Config{MachineMemory: 1000, Machines: 16, Workers: workers})
 		items := make([]int, 500)
 		for i := range items {
 			items[i] = i
@@ -286,7 +286,7 @@ func TestParallelDeterminism(t *testing.T) {
 		sorted := SortByKey(s, shuffled, func(v int) uint64 { return uint64(v) })
 		return Gather(sorted)
 	}
-	a, b := run(false), run(true)
+	a, b := run(1), run(-1)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}

@@ -4,9 +4,13 @@
 // sample from the random-graph distribution G(n_i, 2k) on the same vertex
 // set — without ever knowing the components.
 //
-// Mechanism: add Δ self-loops to every vertex, turning length-T plain
-// walks of the new 2Δ-regular graph into length-T *lazy* walks of the
-// original (Section 5.2); then use the Theorem 3 data structure to give
+// Mechanism: add Δ self-loops to every vertex, so that length-T plain
+// walks of the new graph are length-T *lazy* walks of the original
+// (Section 5.2). graph.AddSelfLoops lists each loop twice in the
+// adjacency, so the walked graph is 3Δ-regular and a step stays put with
+// probability 2/3, not the lazy walk's 1/2: a lazier walk, which mixes
+// more slowly than the lemma assumes. Then use the Theorem 3 data
+// structure to give
 // every vertex k independent walk targets, each within total variation
 // n^{-Θ(1)} of a uniform vertex of its own component; connect each vertex
 // to its k targets.
@@ -103,8 +107,9 @@ func Randomize(sim *mpc.Sim, g *graph.Graph, walkLength int, params Params, rng 
 	if walkLength < 1 {
 		return nil, stats, fmt.Errorf("randomize: walk length %d < 1", walkLength)
 	}
-	// Δ self-loops make the graph 2Δ-regular; its plain walk is the lazy
-	// walk of g (Section 5.2).
+	// Δ self-loops, each listed twice in the adjacency, make the graph
+	// 3Δ-regular: its plain walk stays put with probability 2/3, a lazier
+	// walk of g than the 1/2 of Section 5.2.
 	lazy := graph.AddSelfLoops(g, delta)
 	sim.Charge(1, "randomize:selfloops")
 	engine := params.Engine

@@ -1,8 +1,9 @@
 // Package retry is the shared backoff policy for transient failures:
-// the service's store-append retries and the CLI clients' (wccload,
-// wccstream) handling of connection errors, 5xx responses, and
-// Retry-After headers all draw their delays from one seeded policy, so
-// a retrying run is reproducible and no caller invents its own jitter.
+// the service's store-append retries and internal/client's handling of
+// connection errors, 5xx responses, and Retry-After headers (the HTTP
+// client behind wccload and wccstream) all draw their delays from one
+// seeded policy, so a retrying run is reproducible and no caller invents
+// its own jitter.
 package retry
 
 import (

@@ -14,12 +14,12 @@ import (
 	"sync"
 
 	"repro/internal/algo"
-	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
 // NewHandler exposes a Service over HTTP+JSON. Routes (all responses are
-// JSON objects; errors are {"error": "..."} with a 4xx/5xx status):
+// JSON objects, typed in wire.go; errors are {"error": "..."} with a
+// 4xx/5xx status):
 //
 //	GET  /healthz                     liveness probe (200 while the process serves)
 //	GET  /readyz                      readiness probe (503 while degraded or draining)
@@ -169,42 +169,9 @@ func statusFor(err error) int {
 	return http.StatusBadRequest
 }
 
-// graphJSON renders a stored graph with its latest version. ok=false
-// means the graph was evicted between lookup and now (MaxGraphs
-// pressure) — the handle has no version data left, and the caller must
-// 404 rather than serve a zero digest with a 200.
-func graphJSON(sg *StoredGraph) (map[string]any, bool) {
-	latest := sg.Latest()
-	if latest.Digest == "" {
-		return nil, false
-	}
-	return map[string]any{
-		"id": sg.ID, "name": sg.Name, "digest": latest.Digest,
-		"baseDigest": sg.Digest, "version": latest.Version,
-		"n": latest.N, "m": latest.M, "components": latest.Components,
-	}, true
-}
-
 // errEvicted is the 404 for a graph that vanished mid-request.
 func errEvicted(id string) error {
 	return fmt.Errorf("service: graph %s evicted: %w", id, ErrNotFound)
-}
-
-func versionJSON(info VersionInfo) map[string]any {
-	return map[string]any{
-		"version": info.Version, "digest": info.Digest,
-		"n": info.N, "m": info.M, "appended": info.Appended,
-		"merges": info.Merges, "components": info.Components,
-	}
-}
-
-func labelingJSON(l *Labeling, cached bool) map[string]any {
-	return map[string]any{
-		"graph": l.GraphID, "version": l.Version, "algo": l.Algo,
-		"seed": l.Seed, "lambda": l.Lambda,
-		"memory": l.Memory, "components": l.Components, "rounds": l.Rounds,
-		"peakEdges": l.PeakEdges, "cached": cached, "forwarded": l.Forwarded,
-	}
 }
 
 func (s *Service) handleLoad(w http.ResponseWriter, r *http.Request) {
@@ -226,21 +193,12 @@ func (s *Service) handleLoad(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleGenerate(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Name   string `json:"name"`
-		Family string `json:"family"`
-		N      int    `json:"n"`
-		D      int    `json:"d"`
-		Sizes  []int  `json:"sizes"`
-		Seed   uint64 `json:"seed"`
-	}
+	var req GenerateRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	sg, err := s.Generate(req.Name, gen.Spec{
-		Family: req.Family, N: req.N, D: req.D, Sizes: req.Sizes, Seed: req.Seed,
-	})
+	sg, err := s.Generate(req.Name, req.Spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -251,7 +209,7 @@ func (s *Service) handleGenerate(w http.ResponseWriter, r *http.Request) {
 // writeGraph serves one graph summary, 404ing if it was evicted
 // underneath the handler.
 func writeGraph(w http.ResponseWriter, sg *StoredGraph) {
-	out, ok := graphJSON(sg)
+	out, ok := graphInfo(sg)
 	if !ok {
 		writeError(w, http.StatusNotFound, errEvicted(sg.ID))
 		return
@@ -261,9 +219,9 @@ func writeGraph(w http.ResponseWriter, sg *StoredGraph) {
 
 func (s *Service) handleListGraphs(w http.ResponseWriter, r *http.Request) {
 	list := s.Graphs()
-	out := make([]map[string]any, 0, len(list))
+	out := make([]GraphInfo, 0, len(list))
 	for _, sg := range list {
-		if g, ok := graphJSON(sg); ok {
+		if g, ok := graphInfo(sg); ok {
 			out = append(out, g)
 		}
 	}
@@ -349,10 +307,7 @@ func (s *Service) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	out := versionJSON(info)
-	out["graph"] = sg.ID
-	out["applied"] = applied
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, AppendResult{VersionInfo: info, Graph: sg.ID, Applied: applied})
 }
 
 func (s *Service) handleVersions(w http.ResponseWriter, r *http.Request) {
@@ -366,45 +321,22 @@ func (s *Service) handleVersions(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errEvicted(sg.ID))
 		return
 	}
-	out := make([]map[string]any, len(vers))
-	for i, info := range vers {
-		out[i] = versionJSON(info)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"graph": sg.ID, "latest": vers[len(vers)-1].Version,
-		"maxVersionGap": s.cfg.MaxVersionGap, "versions": out,
+	writeJSON(w, http.StatusOK, VersionList{
+		Graph: sg.ID, Latest: vers[len(vers)-1].Version,
+		MaxVersionGap: s.cfg.MaxVersionGap, Versions: vers,
 	})
 }
 
 func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Graph   string  `json:"graph"`
-		Version *int    `json:"version"`
-		Algo    string  `json:"algo"`
-		Lambda  float64 `json:"lambda"`
-		Seed    uint64  `json:"seed"`
-		Memory  int     `json:"memory"`
-		Workers int     `json:"workers"`
-		Wait    bool    `json:"wait"`
-	}
+	var req SolveRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	version := -1 // latest unless the body pins one
-	if req.Version != nil {
-		version = *req.Version
-	}
-	if req.Algo == "" {
-		req.Algo = s.cfg.DefaultAlgo
-	}
-	if err := validateAlgoOptions(req.Lambda, req.Memory); err != nil {
+	spec, err := req.spec(s.cfg.DefaultAlgo)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
-	}
-	spec := SolveSpec{
-		GraphID: req.Graph, Version: version, Algo: req.Algo, Lambda: req.Lambda,
-		Seed: req.Seed, Memory: req.Memory, Workers: req.Workers,
 	}
 	job, err := s.Submit(spec)
 	if err != nil {
@@ -412,7 +344,7 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !req.Wait {
-		writeJSON(w, http.StatusAccepted, jobJSON(job.Snapshot()))
+		writeJSON(w, http.StatusAccepted, jobInfo(job.Snapshot()))
 		return
 	}
 	snap, err := s.WaitJob(r.Context(), job)
@@ -426,18 +358,7 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("solve failed: %s", snap.Err))
 		return
 	}
-	writeJSON(w, http.StatusOK, labelingJSON(snap.Result, snap.Cached))
-}
-
-func jobJSON(snap JobSnapshot) map[string]any {
-	out := map[string]any{"id": snap.ID, "status": string(snap.Status)}
-	if snap.Err != "" {
-		out["error"] = snap.Err
-	}
-	if snap.Result != nil {
-		out["result"] = labelingJSON(snap.Result, snap.Cached)
-	}
-	return out
+	writeJSON(w, http.StatusOK, labelingInfo(snap.Result, snap.Cached))
 }
 
 func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -446,7 +367,7 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, jobJSON(job.Snapshot()))
+	writeJSON(w, http.StatusOK, jobInfo(job.Snapshot()))
 }
 
 // querySpec decodes the common query parameters shared by the /v1/query
@@ -663,13 +584,10 @@ func putBatchScratch(scratch *batchScratch) {
 func (s *Service) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	scratch := batchPool.Get().(*batchScratch)
 	defer putBatchScratch(scratch)
+	// The batch body is a solve request (its workers and wait keys have
+	// no effect here) plus the queries.
 	req := struct {
-		Graph   string       `json:"graph"`
-		Version *int         `json:"version"`
-		Algo    string       `json:"algo"`
-		Lambda  float64      `json:"lambda"`
-		Seed    uint64       `json:"seed"`
-		Memory  int          `json:"memory"`
+		SolveRequest
 		Queries []BatchQuery `json:"queries"`
 	}{Queries: scratch.qs[:0]}
 	// 1 MiB comfortably fits a maxBatchQueries batch (~40 bytes/query)
@@ -688,21 +606,10 @@ func (s *Service) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("batch of %d queries exceeds the limit %d", len(req.Queries), maxBatchQueries))
 		return
 	}
-	version := -1
-	if req.Version != nil {
-		version = *req.Version
-	}
-	algoName := req.Algo
-	if algoName == "" {
-		algoName = s.cfg.DefaultAlgo
-	}
-	if err := validateAlgoOptions(req.Lambda, req.Memory); err != nil {
+	spec, err := req.spec(s.cfg.DefaultAlgo)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
-	}
-	spec := SolveSpec{
-		GraphID: req.Graph, Version: version, Algo: algoName,
-		Lambda: req.Lambda, Seed: req.Seed, Memory: req.Memory,
 	}
 	if cap(scratch.out) < len(req.Queries) {
 		scratch.out = make([]BatchResult, len(req.Queries))
