@@ -181,19 +181,22 @@ func BenchmarkDirectWalks(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim := mpc.New(mpc.Config{MachineMemory: 1 << 16, Machines: 16})
-		if _, err := randwalk.DirectWalks(sim, g, 64, 8, rng); err != nil {
+		if _, err := randwalk.DirectWalks(sim, g, 64, 8, 0, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkDirectWalksLazy is one Step 2 walk batch in the shape of
-// perfbench's mpc-reference solve: k = 40 walks of T = 1009 steps from
-// every vertex of a 9-regular expander made lazy by 9 self-loops (27
-// adjacency entries per vertex). It walks 4 directBlock-sized blocks
-// (1024 vertices), so one iteration stays well under a second, and
-// reports wall time per walk step; run it with -cpu 1 for the
-// single-core kernel.
+// perfbench's mpc-reference solve: k = 40 lazy walks of T = 1009 steps
+// from every vertex of a 9-regular expander, staying put with
+// randomize.LazyStay = 2/3 — the law of the expander with 9 self-loops
+// (27 adjacency entries per vertex). Each walk draws its move count once
+// and takes only its moves. It walks 4 directBlock-sized blocks (1024
+// vertices), so one iteration stays well under a second, and reports
+// wall time per lazy step (n·k·T, stays included), so the figure
+// compares with a walker that draws every step; run it with -cpu 1 for
+// the single-core kernel.
 func BenchmarkDirectWalksLazy(b *testing.B) {
 	const n, t, k = 1024, 1009, 40
 	rng := rand.New(rand.NewPCG(11, 11))
@@ -209,11 +212,11 @@ func BenchmarkDirectWalksLazy(b *testing.B) {
 	for i := 0; i < n; i += 2 {
 		bld.AddEdge(graph.Vertex(perm[i]), graph.Vertex(perm[i+1]))
 	}
-	lazy := graph.AddSelfLoops(bld.Build(), 9)
+	h := bld.Build()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim := mpc.New(mpc.Config{MachineMemory: 1 << 16, Machines: 16, Workers: -1})
-		if _, err := randwalk.DirectWalks(sim, lazy, t, k, rng); err != nil {
+		if _, err := randwalk.DirectWalks(sim, h, t, k, randomize.LazyStay, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

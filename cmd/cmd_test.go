@@ -474,3 +474,25 @@ func TestLoadStorm(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadStormReplicaTarget sends the storm to a replica while the
+// primary takes only the writes: the "server:" line must count the
+// replica's lookups, not the idle primary's.
+func TestLoadStormReplicaTarget(t *testing.T) {
+	primary := startServe(t, "-data-dir", t.TempDir())
+	replica := startServe(t, "-data-dir", t.TempDir(), "-replica-of", primary)
+	out := runTool(t, nil, "wccload", "-addr", primary, "-targets", replica,
+		"-family", "gnd", "-n", "500", "-d", "4", "-c", "2", "-duration", "1s")
+	var lookups int
+	var ratio float64
+	i := strings.Index(out, "server: ")
+	if i < 0 {
+		t.Fatalf("wccload output has no server line:\n%s", out)
+	}
+	if _, err := fmt.Sscanf(out[i:], "server: %d lookups during the storm, cache hit ratio %f", &lookups, &ratio); err != nil {
+		t.Fatalf("server line: %v\n%s", err, out)
+	}
+	if lookups == 0 || ratio < 0.99 {
+		t.Errorf("server line counts %d lookups at hit ratio %.4f, want the replica's storm, all hits:\n%s", lookups, ratio, out)
+	}
+}

@@ -153,6 +153,20 @@
 // 2.57 s on giant-merging (10/10 alternating pairs) and from 4.10 s to
 // 2.50 s on fragmented-static (5/5), with the same 151 rounds.
 //
+// Step 2's walks are lazy: they stay put with probability 2/3
+// (randomize.LazyStay, the law of g with Δ self-loops). The Direct engine
+// no longer walks the stays. Each walk draws its move count B ~
+// Binomial(T, 1/3) once, from a table of 64-bit CDF thresholds, and then
+// takes only its B moves on g, which is the same endpoint law. That is
+// about a third of the PCG draws and adjacency loads of before. On the
+// same host BenchmarkDirectWalksLazy (still per lazy step) fell from
+// 3.5–4.6 to 1.3–1.9 ns at -cpu 1 and from 2.6–3.7 to 1.1–1.4 ns at
+// -cpu 2 (five alternating runs each). perfbench's mpc_solve_s fell from
+// 2.11–3.14 s (median 2.62) to 1.06–1.51 s (median 1.34) on
+// giant-merging (10/10 alternating pairs, at seeds 1 and 2), and from
+// 2.50/2.70 s to 1.36/1.39 s on fragmented-static (2/2), with the same
+// 151 rounds.
+//
 // Every repetition draws its randomness from a PCG substream keyed by its
 // index (mpc.StreamRNG), so for a fixed seed the output is bit-identical
 // regardless of worker count or schedule; see internal/mpc/README.md for

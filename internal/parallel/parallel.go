@@ -132,8 +132,8 @@ func Components(g *graph.Graph, opts Options) *Result {
 	}
 
 	// Phase 2: elect the dominant component by sampling. Any outcome is
-	// correct (including electing nothing); the seed and the map's
-	// iteration order steer performance only.
+	// correct (including electing nothing); the seed steers performance
+	// only.
 	dominant := electDominant(f, n, opts.Seed, sampleSize)
 
 	// Phase 3: finish every vertex outside the dominant component. The
@@ -172,8 +172,9 @@ func Components(g *graph.Graph, opts Options) *Result {
 }
 
 // electDominant runs phase 2: a seeded sample of vertices votes for the
-// most common component so far. Shared by the CSR and View paths so both
-// elect the same component for the same seed.
+// most common component so far, ties going to the smaller root so the
+// map's iteration order cannot steer the election. Shared by the CSR and
+// View paths so both elect the same component for the same seed.
 func electDominant(f *forest, n int, seed uint64, sampleSize int) graph.Vertex {
 	dominant := graph.Vertex(-1)
 	if n > 0 {
@@ -184,7 +185,7 @@ func electDominant(f *forest, n int, seed uint64, sampleSize int) graph.Vertex {
 		}
 		best := 0
 		for root, c := range votes {
-			if c > best {
+			if c > best || c == best && root < dominant {
 				best, dominant = c, root
 			}
 		}

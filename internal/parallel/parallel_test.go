@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mpc"
 )
 
 // testGraphs returns named graphs spanning the shapes that stress each
@@ -121,5 +122,43 @@ func TestStatsReportResolvedKnobs(t *testing.T) {
 	// of degree > SampleRounds when run sequentially (no racy reads).
 	if res.Components == 1 && res.Stats.SkippedVertices == 0 {
 		t.Fatalf("sequential run on a connected graph skipped nothing")
+	}
+}
+
+// TestElectDominantDeterministicOnTies forces a tied vote: three
+// 4-vertex components, six samples, and the first seed whose top count
+// is shared by two or more components. The election must name the
+// smallest tied root every time; ties decided by the votes map's
+// iteration order would pick another root in some of the 64 runs.
+func TestElectDominantDeterministicOnTies(t *testing.T) {
+	const n, sampleSize = 12, 6
+	f := newForest(n, executorFor(1))
+	for v := 0; v < n; v++ {
+		f.union(graph.Vertex(v), graph.Vertex(v/4*4))
+	}
+	for seed := uint64(0); ; seed++ {
+		rng := mpc.StreamRNG(seed, n, seedStream)
+		votes := map[graph.Vertex]int{}
+		for i := 0; i < sampleSize; i++ {
+			votes[f.find(graph.Vertex(rng.IntN(n)))]++
+		}
+		best, tied, want := 0, 0, graph.Vertex(n)
+		for root := graph.Vertex(0); root < n; root++ {
+			switch c := votes[root]; {
+			case c > best:
+				best, tied, want = c, 1, root
+			case c == best && c > 0:
+				tied++
+			}
+		}
+		if tied < 2 {
+			continue
+		}
+		for run := 0; run < 64; run++ {
+			if got := electDominant(f, n, seed, sampleSize); got != want {
+				t.Fatalf("seed %d: run %d elected root %d, want %d (votes %v)", seed, run, got, want, votes)
+			}
+		}
+		return
 	}
 }

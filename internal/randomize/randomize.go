@@ -4,16 +4,20 @@
 // sample from the random-graph distribution G(n_i, 2k) on the same vertex
 // set — without ever knowing the components.
 //
-// Mechanism: add Δ self-loops to every vertex, so that length-T plain
-// walks of the new graph are length-T *lazy* walks of the original
-// (Section 5.2). graph.AddSelfLoops lists each loop twice in the
-// adjacency, so the walked graph is 3Δ-regular and a step stays put with
-// probability 2/3, not the lazy walk's 1/2: a lazier walk, which mixes
-// more slowly than the lemma assumes. Then use the Theorem 3 data
-// structure to give
+// Mechanism: walk lazily, so that walks of length T mix within each
+// component (Section 5.2), then use the Theorem 3 data structure to give
 // every vertex k independent walk targets, each within total variation
 // n^{-Θ(1)} of a uniform vertex of its own component; connect each vertex
 // to its k targets.
+//
+// The lazy walk is the plain walk of g with Δ self-loops added at every
+// vertex. graph.AddSelfLoops lists each loop twice in the adjacency, so
+// that graph is 3Δ-regular and a step stays put with probability 2/3
+// (LazyStay), not the lazy walk's 1/2: a lazier walk, which mixes more
+// slowly than the lemma assumes. The Layered engine walks that graph; the
+// Direct engine walks g itself with stay probability LazyStay, which is
+// the same law without building the self-looped graph or drawing its
+// stays.
 package randomize
 
 import (
@@ -87,10 +91,21 @@ type Stats struct {
 	CertifiedFraction float64
 }
 
+// LazyStay is the stay probability of Step 2's lazy walk: the 2Δ loop
+// entries among the 3Δ adjacency entries of graph.AddSelfLoops(g, Δ).
+// 2/3 keeps the law the Layered engine walks, which ablation A3 compares
+// the Direct engine against.
+const LazyStay = 2.0 / 3
+
 // Randomize runs Lemma 5.1 on a Δ-regular graph g with component mixing
 // times at most walkLength. The output graph H has V(H) = V(G), n·k edges,
 // and with high probability each component of H equals the corresponding
-// component of G and is distributed close to G(n_i, 2k).
+// component of G and is distributed close to G(n_i, 2k). Both engines
+// walk the lazy walk that stays put with probability LazyStay: the
+// Layered engine on AddSelfLoops(g, Δ), the Direct engine on g through
+// randwalk.DirectWalks' stay probability, which draws each walk's move
+// count once and skips its stays. The self-loop round is charged either
+// way.
 func Randomize(sim *mpc.Sim, g *graph.Graph, walkLength int, params Params, rng *rand.Rand) (*graph.Graph, Stats, error) {
 	n := g.N()
 	stats := Stats{WalkLength: walkLength, WalksPerVertex: params.WalksPerVertex}
@@ -107,10 +122,6 @@ func Randomize(sim *mpc.Sim, g *graph.Graph, walkLength int, params Params, rng 
 	if walkLength < 1 {
 		return nil, stats, fmt.Errorf("randomize: walk length %d < 1", walkLength)
 	}
-	// Δ self-loops, each listed twice in the adjacency, make the graph
-	// 3Δ-regular: its plain walk stays put with probability 2/3, a lazier
-	// walk of g than the 1/2 of Section 5.2.
-	lazy := graph.AddSelfLoops(g, delta)
 	sim.Charge(1, "randomize:selfloops")
 	engine := params.Engine
 	if engine == EngineAuto {
@@ -128,10 +139,11 @@ func Randomize(sim *mpc.Sim, g *graph.Graph, walkLength int, params Params, rng 
 	switch engine {
 	case EngineLayered:
 		var frac float64
+		lazy := graph.AddSelfLoops(g, delta)
 		targets, frac, err = randwalk.CollectTargets(sim, lazy, walkLength, params.WalksPerVertex, params.Walk, rng)
 		stats.CertifiedFraction = frac
 	case EngineDirect:
-		targets, err = randwalk.DirectWalks(sim, lazy, walkLength, params.WalksPerVertex, rng)
+		targets, err = randwalk.DirectWalks(sim, g, walkLength, params.WalksPerVertex, LazyStay, rng)
 		stats.CertifiedFraction = 1 // exact product distribution
 	default:
 		return nil, stats, fmt.Errorf("randomize: unknown engine %d", engine)

@@ -131,7 +131,7 @@ func TestCollectTargetsDeterministicAcrossExecutors(t *testing.T) {
 func TestDirectWalksDeterministicAcrossExecutors(t *testing.T) {
 	g := testGraph(t, "grid")
 	run := func(workers int) [][]graph.Vertex {
-		targets, err := DirectWalks(simWorkers(workers), g, 32, 6, rand.New(rand.NewPCG(21, 23)))
+		targets, err := DirectWalks(simWorkers(workers), g, 32, 6, 0, rand.New(rand.NewPCG(21, 23)))
 		if err != nil {
 			t.Fatal(err)
 		}

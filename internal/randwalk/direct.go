@@ -2,6 +2,7 @@ package randwalk
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand/v2"
 
@@ -10,7 +11,9 @@ import (
 )
 
 // DirectWalks samples k mutually independent length-t walks from every
-// vertex by direct simulation. The joint distribution of the returned
+// vertex by direct simulation. Each step stays put with probability stay
+// and otherwise moves to a uniform entry of the vertex's adjacency list;
+// stay = 0 is the plain walk of g. The joint distribution of the returned
 // targets is exactly the product ⊗_{v,b} D_RW(v, t) — the ideal object
 // that Theorem 3's layered-graph data structure approximates (certifying
 // independence for a 1/2 fraction per instance and repeating Θ(log n)
@@ -18,6 +21,15 @@ import (
 // paper's own machine budget (O(t²·n^{1−δ}) machines in Theorem 3) but is
 // hostile to a single-host simulation at realistic T; direct simulation
 // costs O(n·k·t) time and O(n·k) memory.
+//
+// A lazy walk (stay > 0) never draws its stays. The endpoint after t lazy
+// steps has exactly the law of a plain walk of B steps, B ~ Binomial(t,
+// 1−stay), so each walk draws B once, by inverting a table of 64-bit
+// Binomial CDF thresholds (moveThresholds, built once per call), and then
+// takes only its B moves. At stay = 2/3 every table entry is within
+// 1.4·10⁻¹³ of the exact CDF up to t = 4096 (core's MaxWalkLength), so
+// the law of B is within (t+1)·1.4·10⁻¹³ < 10⁻⁹ of Binomial(t, 1−stay)
+// in total variation.
 //
 // Round accounting still follows Theorem 3 — 1 sampling round plus
 // 2·⌈log₂ t⌉ pointer-doubling/marking phases, each a parallel search over
@@ -27,11 +39,17 @@ import (
 // accounting kept; ablation A3 (A3WalkEngines in internal/bench) measures
 // both engines side by side.
 //
-// On a regular graph the walks of a block run four at a time on
-// jump-ahead lanes of the block's PCG stream (walkLanes), each lane
-// reading exactly the words the walk would read on its own, so the
-// targets do not depend on the lane count.
-func DirectWalks(sim *mpc.Sim, g *graph.Graph, t, k int, rng *rand.Rand) ([][]graph.Vertex, error) {
+// Fixed-size vertex blocks each walk on their own StreamRNG substream
+// keyed by block index, so the blocks parallelize across the executor
+// without the output depending on the schedule. Walk w of a block (walk
+// w%k of its vertex w/k) owns a slot of draws of the block's stream:
+// [w·t, (w+1)·t) when stay = 0, one draw per step; [w·(t+1), (w+1)·(t+1))
+// when stay > 0, one draw for B, B draws for its moves and the rest of
+// the slot skipped. On a regular graph the walks of a block run four at a
+// time on jump-ahead lanes of the stream (walkLanes), each lane reading
+// exactly the words of its own slot, so the targets depend on neither the
+// lane count nor the worker count.
+func DirectWalks(sim *mpc.Sim, g *graph.Graph, t, k int, stay float64, rng *rand.Rand) ([][]graph.Vertex, error) {
 	n := g.N()
 	if t < 0 {
 		return nil, fmt.Errorf("randwalk: negative walk length %d", t)
@@ -39,28 +57,31 @@ func DirectWalks(sim *mpc.Sim, g *graph.Graph, t, k int, rng *rand.Rand) ([][]gr
 	if k < 0 {
 		return nil, fmt.Errorf("randwalk: negative walk count %d", k)
 	}
+	if !(stay >= 0 && stay < 1) {
+		return nil, fmt.Errorf("randwalk: stay probability %v outside [0, 1)", stay)
+	}
 	for v := 0; v < n; v++ {
 		if g.Degree(graph.Vertex(v)) == 0 {
 			return nil, fmt.Errorf("randwalk: vertex %d is isolated", v)
 		}
 	}
-	// Fixed-size vertex blocks each walk on their own StreamRNG substream
-	// keyed by block index — block boundaries do not depend on the worker
-	// count, so the blocks parallelize across the executor without the
-	// output depending on the schedule. Within a block, walk b of the i-th
-	// vertex consumes draws [(i·k+b)·t, (i·k+b+1)·t) of the stream.
 	s1, s2 := rng.Uint64(), rng.Uint64()
 	targets := make([][]graph.Vertex, n)
 	// Regular-graph fast path: neighbors of v are adj[v*d:(v+1)*d], so the
-	// step needs one memory access instead of three (the self-looped
-	// regular graphs of Step 2 — the hottest walk workload — always take
-	// it).
+	// step needs one memory access instead of three (the regular graphs
+	// of Step 2 — the hottest walk workload — always take it).
 	deg := 0
 	if n > 0 && g.MinDegree() == g.MaxDegree() {
 		deg = g.MaxDegree()
 	}
 	_, adj := g.CSR()
-	jump := pcgJump(t)
+	var moves []uint64
+	slot := t
+	if stay > 0 {
+		moves = moveThresholds(t, 1-stay)
+		slot = t + 1
+	}
+	jump := pcgJump(slot)
 	blocks := (n + directBlock - 1) / directBlock
 	sim.Executor().Run(blocks, func(bk int) {
 		lo, hi := bk*directBlock, (bk+1)*directBlock
@@ -72,19 +93,23 @@ func DirectWalks(sim *mpc.Sim, g *graph.Graph, t, k int, rng *rand.Rand) ([][]gr
 			i := (v - lo) * k
 			targets[v] = rows[i : i+k : i+k]
 		}
+		sHi, sLo := mpc.StreamSeeds(s1, s2, uint64(bk))
 		if deg > 0 {
-			sHi, sLo := mpc.StreamSeeds(s1, s2, uint64(bk))
-			walkLanes(rows, adj, deg, lo, k, t, jump, sHi, sLo)
+			walkLanes(rows, adj, deg, lo, k, t, moves, jump, sHi, sLo)
 			return
 		}
-		r := mpc.StreamPCG(s1, s2, uint64(bk))
 		for w := range rows {
+			h, l, b := drawMoves(moves, t, sHi, sLo)
 			cur := graph.Vertex(lo + w/k)
-			for step := 0; step < t; step++ {
+			for ; b > 0; b-- {
+				var x uint64
+				h, l, x = pcgNext(h, l)
 				ns := g.Neighbors(cur, nil)
-				cur = ns[pcgIndex(r, len(ns))]
+				i, _ := bits.Mul64(x, uint64(len(ns)))
+				cur = ns[i]
 			}
 			rows[w] = cur
+			sHi, sLo = jump.apply(sHi, sLo)
 		}
 	})
 	chargeTheorem3(sim, n, t)
@@ -92,19 +117,20 @@ func DirectWalks(sim *mpc.Sim, g *graph.Graph, t, k int, rng *rand.Rand) ([][]gr
 }
 
 // walkLanes runs the walks of one regular-graph block: walk w starts at
-// vertex first + w/k, takes t steps of the deg-regular adjacency adj, and
-// writes its endpoint to out[w]. (sHi, sLo) is the block stream's state
-// before its first draw, and walk w consumes draws [w·t, (w+1)·t) — the
-// order the walks would consume them one after another.
+// vertex first + w/k, takes its moves on the deg-regular adjacency adj,
+// and writes its endpoint to out[w]. (sHi, sLo) is the block stream's
+// state before its first draw, and jump advances a state by one walk's
+// slot. A walk takes t moves when moves is nil; otherwise its first draw
+// picks its move count from the thresholds in moves.
 //
-// One walk leaves two serial dependency chains per step: the 128-bit LCG
+// One walk leaves two serial dependency chains per move: the 128-bit LCG
 // state and the adj load that needs the previous vertex. Four walks run
 // side by side instead, each on its own lane of the stream: lane j starts
-// at the state t·j draws ahead (jump, the LCG's t-step affine map), so the
-// four chains overlap in the pipeline and every walk still reads exactly
-// the words it would read alone. After t steps lane 3 stands where the
-// next group of four begins.
-func walkLanes(out, adj []graph.Vertex, deg, first, k, t int, jump lcg, sHi, sLo uint64) {
+// j slots ahead, so the four chains overlap in the pipeline and every walk
+// still reads exactly the words of its own slot. The lanes run in
+// lockstep for the smallest of their four move counts; each lane then
+// finishes its own tail alone.
+func walkLanes(out, adj []graph.Vertex, deg, first, k, t int, moves []uint64, jump lcg, sHi, sLo uint64) {
 	d := uint64(deg)
 	w := 0
 	for ; w+4 <= len(out); w += 4 {
@@ -112,11 +138,17 @@ func walkLanes(out, adj []graph.Vertex, deg, first, k, t int, jump lcg, sHi, sLo
 		h1, l1 := jump.apply(h0, l0)
 		h2, l2 := jump.apply(h1, l1)
 		h3, l3 := jump.apply(h2, l2)
+		sHi, sLo = jump.apply(h3, l3)
+		h0, l0, b0 := drawMoves(moves, t, h0, l0)
+		h1, l1, b1 := drawMoves(moves, t, h1, l1)
+		h2, l2, b2 := drawMoves(moves, t, h2, l2)
+		h3, l3, b3 := drawMoves(moves, t, h3, l3)
 		c0 := int64(first + w/k)
 		c1 := int64(first + (w+1)/k)
 		c2 := int64(first + (w+2)/k)
 		c3 := int64(first + (w+3)/k)
-		for step := 0; step < t; step++ {
+		common := min(b0, b1, b2, b3)
+		for step := 0; step < common; step++ {
 			var x0, x1, x2, x3 uint64
 			h0, l0, x0 = pcgNext(h0, l0)
 			h1, l1, x1 = pcgNext(h1, l1)
@@ -131,19 +163,89 @@ func walkLanes(out, adj []graph.Vertex, deg, first, k, t int, jump lcg, sHi, sLo
 			c2 = int64(adj[c2*int64(deg)+int64(i2)])
 			c3 = int64(adj[c3*int64(deg)+int64(i3)])
 		}
-		out[w], out[w+1], out[w+2], out[w+3] = graph.Vertex(c0), graph.Vertex(c1), graph.Vertex(c2), graph.Vertex(c3)
-		sHi, sLo = h3, l3
+		out[w] = walkRegular(adj, deg, c0, b0-common, h0, l0)
+		out[w+1] = walkRegular(adj, deg, c1, b1-common, h1, l1)
+		out[w+2] = walkRegular(adj, deg, c2, b2-common, h2, l2)
+		out[w+3] = walkRegular(adj, deg, c3, b3-common, h3, l3)
 	}
 	for ; w < len(out); w++ {
-		c := int64(first + w/k)
-		for step := 0; step < t; step++ {
-			var x uint64
-			sHi, sLo, x = pcgNext(sHi, sLo)
-			i, _ := bits.Mul64(x, d)
-			c = int64(adj[c*int64(deg)+int64(i)])
-		}
-		out[w] = graph.Vertex(c)
+		hi, lo, b := drawMoves(moves, t, sHi, sLo)
+		out[w] = walkRegular(adj, deg, int64(first+w/k), b, hi, lo)
+		sHi, sLo = jump.apply(sHi, sLo)
 	}
+}
+
+// walkRegular takes b moves from vertex c on the deg-regular adjacency
+// adj, drawing from the stream state (hi, lo), and returns the endpoint.
+func walkRegular(adj []graph.Vertex, deg int, c int64, b int, hi, lo uint64) graph.Vertex {
+	d := uint64(deg)
+	for ; b > 0; b-- {
+		var x uint64
+		hi, lo, x = pcgNext(hi, lo)
+		i, _ := bits.Mul64(x, d)
+		c = int64(adj[c*int64(deg)+int64(i)])
+	}
+	return graph.Vertex(c)
+}
+
+// moveThresholds returns the inverse-CDF table of B ~ Binomial(t, p):
+// entry b is ⌊P(B ≤ b)·2⁶⁴⌋ and entry t is MaxUint64, so moveCount maps a
+// uniform 64-bit word to B. The probabilities are summed in log space
+// (math.Lgamma), because the plain products underflow — P(B = 0) =
+// (2/3)^4096 at stay 2/3 and core's MaxWalkLength is below the smallest
+// float64 — while the terms that matter stay representable. At p = 1/3
+// the entries are within 4.5·10⁻¹⁴ of the exact CDF at t = 1009 and
+// 1.4·10⁻¹³ at t = 4096 (TestMoveThresholdsMatchExactCDF checks them in
+// integer arithmetic).
+func moveThresholds(t int, p float64) []uint64 {
+	lp, lq := math.Log(p), math.Log1p(-p)
+	lt, _ := math.Lgamma(float64(t + 1))
+	pmf := make([]float64, t+1)
+	sum := 0.0
+	for b := range pmf {
+		lb, _ := math.Lgamma(float64(b + 1))
+		lr, _ := math.Lgamma(float64(t - b + 1))
+		pmf[b] = math.Exp(lt - lb - lr + float64(b)*lp + float64(t-b)*lq)
+		sum += pmf[b]
+	}
+	thr := make([]uint64, t+1)
+	cum := 0.0
+	for b := 0; b < t; b++ {
+		cum += pmf[b]
+		if c := math.Ldexp(cum/sum, 64); c < 1<<64 {
+			thr[b] = uint64(c)
+		} else {
+			thr[b] = math.MaxUint64
+		}
+	}
+	thr[t] = math.MaxUint64
+	return thr
+}
+
+// drawMoves returns a walk's move count and the stream state after the
+// draw that picked it: t, with no draw, when moves is nil (a plain walk),
+// and otherwise the count moveCount reads off the next word.
+func drawMoves(moves []uint64, t int, hi, lo uint64) (uint64, uint64, int) {
+	if moves == nil {
+		return hi, lo, t
+	}
+	hi, lo, x := pcgNext(hi, lo)
+	return hi, lo, moveCount(moves, x)
+}
+
+// moveCount returns the smallest b with x ≤ thr[b]: one draw of the move
+// count whose thresholds moveThresholds built.
+func moveCount(thr []uint64, x uint64) int {
+	lo, hi := 0, len(thr)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if x <= thr[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // directBlock is the per-substream vertex block of DirectWalks and
