@@ -84,7 +84,10 @@ race:
 # times the content digest (CSR and mmap'd snapshot) and a whole Open
 # of a data dir holding one 2^20-edge graph. That the WCCB1 encoding
 # stays smaller than text is asserted by internal/graph's
-# TestBinaryRoundTripAllGenFamilies, not here.
+# TestBinaryRoundTripAllGenFamilies, not here. The graph line parses a
+# 2^20-edge list and one 256-edge append body; the latter's B/op shows
+# an append parser that went back to a buffer sized for its longest
+# possible line.
 # CI uploads the raw output as an artifact for benchstat diffs.
 bench-smoke:
 	$(GO) test -run=NONE -benchtime=1x -benchmem \
@@ -93,6 +96,8 @@ bench-smoke:
 		-bench='QueryHit|QueryBatch|HTTPQuery|AppendForward' ./internal/service/
 	$(GO) test -run=NONE -benchtime=1x -benchmem \
 		-bench='DigestGraph|DigestViewMapped|DiskOpen' ./internal/store/
+	$(GO) test -run=NONE -benchtime=1x -benchmem \
+		-bench='ReadEdge' ./internal/graph/
 
 # The out-of-core smoke: a union-of-cliques WCCM1 file ~4x larger than
 # the Go soft memory limit solved off a real mmap, labels verified

@@ -19,10 +19,12 @@
 //	wccstream -addr http://localhost:8080 -graph base.txt -trace churn.trace
 //
 // The trace file format is line-oriented: "@ <offset-ms>" opens a batch
-// stamped with its offset from stream start, followed by one "u v" edge
-// per line (the graph.ReadEdgeBatch wire format). -pace honors the
-// recorded timestamps during replay; the default replays as fast as the
-// server accepts, which is what the batches/sec figure measures.
+// stamped with its offset from stream start, and the lines up to the
+// next "@" are that batch as an append body carries it, one "u v" edge
+// per line, read and written by graph.ReadEdgeBatch and
+// graph.WriteEdgeBatch like every append body. -pace honors the recorded
+// timestamps during replay; the default replays as fast as the server
+// accepts, which is what the batches/sec figure measures.
 //
 // With -verify, the final incremental labeling is cross-checked against
 // a fresh full solve by a different registry algorithm on the final
@@ -43,6 +45,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"flag"
 	"fmt"
 	"math"
@@ -315,8 +318,9 @@ func writeTraceFile(path string, batches [][]graph.Edge, stamps []time.Duration)
 			ms = stamps[i].Milliseconds()
 		}
 		fmt.Fprintf(w, "@ %d\n", ms)
-		for _, e := range batch {
-			fmt.Fprintf(w, "%d %d\n", e.U, e.V)
+		if err := graph.WriteEdgeBatch(w, batch); err != nil {
+			f.Close()
+			return err
 		}
 	}
 	if err := w.Flush(); err != nil {
@@ -326,67 +330,53 @@ func writeTraceFile(path string, batches [][]graph.Edge, stamps []time.Duration)
 	return f.Close()
 }
 
+// readTraceFile splits a trace at its "@ <offset-ms>" lines and parses
+// the lines after each one as a graph.ReadEdgeBatch body. Lines before
+// the first "@" may only be blank or comments. A batch's errors name
+// the line of its "@" and count their "batch line" from the line after.
 func readTraceFile(path string, maxVertex int) ([][]graph.Edge, []time.Duration, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer f.Close()
 	var (
 		batches [][]graph.Edge
 		stamps  []time.Duration
-		current []graph.Edge
-		open    bool
+		start   int // offset of the open batch's first line
+		stampNo int // line of the open batch's "@", 0 before the first
 	)
-	flush := func() {
-		if open {
-			batches = append(batches, current)
-			current = nil
-		}
-	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
+	closeBatch := func(end int) error {
+		edges, err := graph.ReadEdgeBatch(bytes.NewReader(data[start:end]), maxVertex, math.MaxInt)
 		switch {
-		case line == "" || strings.HasPrefix(line, "#"):
-		case strings.HasPrefix(line, "@"):
-			flush()
-			ms, err := strconv.ParseInt(strings.TrimSpace(line[1:]), 10, 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s:%d: bad timestamp: %w", path, lineNo, err)
-			}
-			stamps = append(stamps, time.Duration(ms)*time.Millisecond)
-			open = true
-		default:
-			if !open {
-				return nil, nil, fmt.Errorf("%s:%d: edge line before first @ timestamp", path, lineNo)
-			}
-			// Parse the already-scanned line in place (one ReadEdgeBatch
-			// call per line would re-allocate its 1 MiB scanner buffer).
-			fields := strings.Fields(line)
-			if len(fields) != 2 {
-				return nil, nil, fmt.Errorf("%s:%d: want 2 fields, got %d", path, lineNo, len(fields))
-			}
-			u, err := strconv.Atoi(fields[0])
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s:%d: %w", path, lineNo, err)
-			}
-			v, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s:%d: %w", path, lineNo, err)
-			}
-			if u < 0 || u >= maxVertex || v < 0 || v >= maxVertex {
-				return nil, nil, fmt.Errorf("%s:%d: edge (%d,%d) out of range [0,%d)", path, lineNo, u, v, maxVertex)
-			}
-			current = append(current, graph.Edge{U: graph.Vertex(u), V: graph.Vertex(v)})
+		case stampNo == 0 && (err != nil || len(edges) > 0):
+			return fmt.Errorf("%s: edge line before first @ timestamp", path)
+		case err != nil:
+			return fmt.Errorf("%s: batch at line %d: %w", path, stampNo, err)
+		case stampNo > 0:
+			batches = append(batches, edges)
 		}
+		return nil
 	}
-	if err := sc.Err(); err != nil {
+	for lineNo, rest := 1, data; len(rest) > 0; lineNo++ {
+		off := len(data) - len(rest)
+		var line []byte
+		line, rest, _ = bytes.Cut(rest, []byte{'\n'})
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 || line[0] != '@' {
+			continue
+		}
+		if err := closeBatch(off); err != nil {
+			return nil, nil, err
+		}
+		ms, err := strconv.ParseInt(string(bytes.TrimSpace(line[1:])), 10, 64)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s:%d: bad timestamp: %w", path, lineNo, err)
+		}
+		stamps = append(stamps, time.Duration(ms)*time.Millisecond)
+		start, stampNo = len(data)-len(rest), lineNo
+	}
+	if err := closeBatch(len(data)); err != nil {
 		return nil, nil, err
 	}
-	flush()
 	return batches, stamps, nil
 }

@@ -24,6 +24,10 @@ func TestTraceFileRoundTrip(t *testing.T) {
 	if err := writeTraceFile(path, batches, stamps); err != nil {
 		t.Fatal(err)
 	}
+	const want = "# wccstream trace: 4 batches\n@ 0\n0 1\n2 3\n@ 100\n4 4\n@ 250\n@ 7000\n9 0\n"
+	if data, err := os.ReadFile(path); err != nil || string(data) != want {
+		t.Fatalf("trace file = %q, %v; want %q", data, err, want)
+	}
 	gotBatches, gotStamps, err := readTraceFile(path, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -46,6 +50,8 @@ func TestReadTraceFileRejects(t *testing.T) {
 		{"bad stamp", "@ soon\n0 1\n", "bad timestamp"},
 		{"empty stamp", "@\n0 1\n", "bad timestamp"},
 		{"edge before stamp", "0 1\n@ 0\n", "before first @"},
+		{"bad line before stamp", "# c\nx\n@ 0\n", "before first @"},
+		{"bad line in later batch", "# c\n@ 0\n0 1\n@ 5\n\n0 1 2\n", "batch at line 4: graph: batch line 2: want 2 fields"},
 		{"three fields", "@ 0\n0 1 2\n", "want 2 fields"},
 		{"not a number", "@ 0\n0 x\n", "invalid syntax"},
 		{"vertex too large", "@ 0\n0 10\n", "out of range"},

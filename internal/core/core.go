@@ -57,7 +57,7 @@ type Options struct {
 	Regularize regularize.Params
 	// Walk selects the Theorem 3 parameters for the layered engine.
 	Walk randwalk.Params
-	// Engine selects the walk implementation (default Auto).
+	// Engine selects the walk implementation (default Direct).
 	Engine randomize.Engine
 	// GrowDelta and GrowS are Step 3's Δ and s; zero derives
 	// Δ = 8, s = max(8, 2·⌈log₂ n⌉).

@@ -65,66 +65,47 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 
 // ReadEdgeBatch parses the edge-batch wire format used by the dynamic
 // append endpoint (POST /v1/graphs/{id}/edges) and by cmd/wccstream
-// traces: one "u v" pair per line, no header, with blank lines and '#'
-// comments ignored. Unlike the full edge-list format, a batch describes a
-// delta against an existing graph, so there is no vertex count to trust —
-// every endpoint must lie in [0, maxVertex), and parsing aborts once more
-// than maxEdges lines appear (maxEdges <= 0 rejects everything, so
-// callers cannot accidentally pass "no limit"; batches are untrusted).
-// Duplicate and parallel edges are legal — the graphs are multigraphs —
-// and an empty batch is legal too (the caller decides whether a no-op
-// append bumps a version).
+// traces: the line grammar described at ReadEdgeList with no header, so
+// every line that is not blank or a '#' comment is one "u v" edge.
+// Unlike the full edge-list format, a batch describes a delta against an
+// existing graph, so there is no vertex count to trust — every endpoint
+// must lie in [0, maxVertex), maxVertex capped at the Vertex range, and
+// parsing aborts once more than maxEdges lines appear (maxEdges <= 0
+// rejects everything, so callers cannot accidentally pass "no limit";
+// batches are untrusted). Duplicate and parallel edges are legal — the
+// graphs are multigraphs — and an empty batch is legal too (the caller
+// decides whether a no-op append bumps a version). Errors are those of
+// ReadEdgeListLimit, with "graph: batch line N:" for "graph: line N:".
 func ReadEdgeBatch(r io.Reader, maxVertex, maxEdges int) ([]Edge, error) {
 	if maxEdges <= 0 {
 		return nil, fmt.Errorf("graph: batch edge limit %d rejects all batches", maxEdges)
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	hint := maxEdges
-	if hint > maxEdgeHint {
-		hint = maxEdgeHint
-	}
-	edges := make([]Edge, 0, min(hint, 64))
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("graph: batch line %d: want 2 fields, got %d", lineNo, len(fields))
-		}
-		u, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("graph: batch line %d: %w", lineNo, err)
-		}
-		v, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("graph: batch line %d: %w", lineNo, err)
-		}
-		if u < 0 || u >= maxVertex || v < 0 || v >= maxVertex {
-			return nil, fmt.Errorf("graph: batch line %d: edge (%d,%d) out of range [0,%d)", lineNo, u, v, maxVertex)
-		}
-		if len(edges) >= maxEdges {
-			return nil, fmt.Errorf("graph: batch line %d: more than %d edges", lineNo, maxEdges)
+	maxVertex = min(maxVertex, math.MaxInt32)
+	edges := make([]Edge, 0, min(maxEdges, 64))
+	lines := edgeLines{br: bufio.NewReaderSize(r, readBufBytes), what: "batch line"}
+	for {
+		u, v, err := lines.next()
+		switch {
+		case err == io.EOF:
+			return edges, nil
+		case err != nil:
+			return nil, err
+		case u < 0 || u >= maxVertex || v < 0 || v >= maxVertex:
+			return nil, lines.errorf("edge (%d,%d) out of range [0,%d)", u, v, maxVertex)
+		case len(edges) >= maxEdges:
+			return nil, lines.errorf("more than %d edges", maxEdges)
 		}
 		edges = append(edges, Edge{U: Vertex(u), V: Vertex(v)})
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return edges, nil
 }
 
-// WriteEdgeBatch writes edges in the ReadEdgeBatch wire format.
+// WriteEdgeBatch writes edges in the ReadEdgeBatch wire format. When w
+// is a *bufio.Writer of the default size or larger, it writes through
+// it and flushes it.
 func WriteEdgeBatch(w io.Writer, edges []Edge) error {
 	bw := bufio.NewWriter(w)
 	for _, e := range edges {
-		if _, err := fmt.Fprintf(bw, "%d %d\n", e.U, e.V); err != nil {
-			return err
-		}
+		writePair(bw, int64(e.U), int64(e.V))
 	}
 	return bw.Flush()
 }
@@ -158,19 +139,76 @@ const maxFastDigits = 9 + 9*(strconv.IntSize/64)
 // in every corner case. An error from r is returned wrapped (errors.As
 // still finds it) without parsing the partial line in front of it.
 func ReadEdgeListLimit(r io.Reader, maxVertices, maxEdges int) (*Graph, error) {
-	br := bufio.NewReaderSize(r, readBufBytes)
-	var (
-		b      *Builder
-		parsed int
-		m      int
-		long   []byte // a line longer than br's buffer, gathered
-	)
-	lineNo := 0
-	for {
-		line, rerr := br.ReadSlice('\n')
-		if rerr == bufio.ErrBufferFull {
-			line, rerr = readLongLine(br, line, &long)
+	lines := edgeLines{br: bufio.NewReaderSize(r, readBufBytes), what: "line"}
+	var b *Builder
+	m := 0 // the header's edge count
+	a, c, err := lines.next()
+	for ; err == nil; a, c, err = lines.next() {
+		if b != nil {
+			if a < 0 || a >= b.n || c < 0 || c >= b.n {
+				return nil, lines.errorf("edge (%d,%d) out of range [0,%d)", a, c, b.n)
+			}
+			if maxEdges > 0 && len(b.us) >= maxEdges {
+				return nil, lines.errorf("more than %d edges", maxEdges)
+			}
+			b.us = append(b.us, Vertex(a))
+			b.vs = append(b.vs, Vertex(c))
+			continue
 		}
+		if a < 0 || c < 0 {
+			return nil, lines.errorf("negative header")
+		}
+		// The header is untrusted until the edge count has been
+		// verified: reject vertex counts past the caller's limit (or
+		// past what any Vertex can index), and treat the edge count
+		// only as a capacity hint, clamped so a typo'd or hostile
+		// header cannot force a huge allocation before the first edge
+		// line is even read.
+		limit := maxVertices
+		if limit <= 0 || limit > math.MaxInt32 {
+			limit = math.MaxInt32
+		}
+		if a > limit {
+			return nil, lines.errorf("vertex count %d exceeds limit %d", a, limit)
+		}
+		if maxEdges > 0 && c > maxEdges {
+			return nil, lines.errorf("edge count %d exceeds limit %d", c, maxEdges)
+		}
+		b = NewBuilderHint(a, min(c, maxEdgeHint))
+		m = c
+	}
+	if err != io.EOF {
+		return nil, err
+	}
+	if b == nil {
+		return nil, fmt.Errorf("graph: empty input")
+	}
+	if len(b.us) != m {
+		return nil, fmt.Errorf("graph: header promised %d edges, got %d", m, len(b.us))
+	}
+	return b.Build(), nil
+}
+
+// edgeLines reads the line grammar described at ReadEdgeList one pair
+// at a time: ReadEdgeListLimit and ReadEdgeBatch differ only in what
+// they do with each pair.
+type edgeLines struct {
+	br     *bufio.Reader
+	long   []byte // a line longer than br's buffer, gathered
+	what   string // names a line in errors: "line" or "batch line"
+	lineNo int    // the line last read, counting from 1
+	done   bool   // the last line has been read
+}
+
+// next returns the two fields of the next line that is not blank or a
+// comment, or io.EOF after the last line.
+func (l *edgeLines) next() (int, int, error) {
+	for !l.done {
+		line, rerr := l.br.ReadSlice('\n')
+		if rerr == bufio.ErrBufferFull {
+			line, rerr = readLongLine(l.br, line, &l.long)
+		}
+		l.lineNo++
 		// A caller's own bufio.Reader of at least readBufBytes comes
 		// back from NewReaderSize unchanged and may return a whole
 		// line past the limit, so the limit is checked on the line
@@ -180,68 +218,30 @@ func ReadEdgeListLimit(r io.Reader, maxVertices, maxEdges int) (*Graph, error) {
 			content--
 		}
 		if rerr == bufio.ErrBufferFull || content >= maxLineBytes {
-			return nil, fmt.Errorf("graph: line %d: longer than %d bytes", lineNo+1, maxLineBytes-1)
+			return 0, 0, l.errorf("longer than %d bytes", maxLineBytes-1)
 		}
 		if rerr != nil && rerr != io.EOF {
-			return nil, fmt.Errorf("graph: line %d: %w", lineNo+1, rerr)
+			return 0, 0, l.errorf("%w", rerr)
 		}
-		if len(line) == 0 {
-			break // clean end of input
-		}
-		lineNo++
+		l.done = rerr == io.EOF
 		a, c, kind := scanEdgeLine(line)
 		if kind == lineOther {
 			var err error
-			if a, c, kind, err = parseEdgeLineSlow(line, lineNo); err != nil {
-				return nil, err
+			if a, c, kind, err = parseEdgeLineSlow(line); err != nil {
+				return 0, 0, l.errorf("%w", err)
 			}
 		}
 		if kind == linePair {
-			if b == nil {
-				if a < 0 || c < 0 {
-					return nil, fmt.Errorf("graph: line %d: negative header", lineNo)
-				}
-				// The header is untrusted until the edge count has been
-				// verified: reject vertex counts past the caller's limit
-				// (or past what any Vertex can index), and treat the edge
-				// count only as a capacity hint, clamped so a typo'd or
-				// hostile header cannot force a huge allocation before
-				// the first edge line is even read.
-				limit := maxVertices
-				if limit <= 0 || limit > math.MaxInt32 {
-					limit = math.MaxInt32
-				}
-				if a > limit {
-					return nil, fmt.Errorf("graph: line %d: vertex count %d exceeds limit %d", lineNo, a, limit)
-				}
-				if maxEdges > 0 && c > maxEdges {
-					return nil, fmt.Errorf("graph: line %d: edge count %d exceeds limit %d", lineNo, c, maxEdges)
-				}
-				b = NewBuilderHint(a, min(c, maxEdgeHint))
-				m = c
-			} else {
-				if a < 0 || a >= b.n || c < 0 || c >= b.n {
-					return nil, fmt.Errorf("graph: line %d: edge (%d,%d) out of range [0,%d)", lineNo, a, c, b.n)
-				}
-				if maxEdges > 0 && parsed >= maxEdges {
-					return nil, fmt.Errorf("graph: line %d: more than %d edges", lineNo, maxEdges)
-				}
-				b.us = append(b.us, Vertex(a))
-				b.vs = append(b.vs, Vertex(c))
-				parsed++
-			}
-		}
-		if rerr == io.EOF {
-			break
+			return a, c, nil
 		}
 	}
-	if b == nil {
-		return nil, fmt.Errorf("graph: empty input")
-	}
-	if parsed != m {
-		return nil, fmt.Errorf("graph: header promised %d edges, got %d", m, parsed)
-	}
-	return b.Build(), nil
+	return 0, 0, io.EOF
+}
+
+// errorf returns an error about the line last read, prefixed
+// "graph: <what> N:".
+func (l *edgeLines) errorf(format string, args ...any) error {
+	return fmt.Errorf("graph: %s %d: %w", l.what, l.lineNo, fmt.Errorf(format, args...))
 }
 
 // readLongLine finishes a line that filled br's buffer: it gathers
@@ -326,20 +326,20 @@ func scanDecimal(line []byte, i int) (int, int, bool) {
 // parseEdgeLineSlow decides one line with strings.TrimSpace,
 // strings.Fields and strconv.Atoi — the parser's grammar by definition,
 // used for every line scanEdgeLine does not take.
-func parseEdgeLineSlow(line []byte, lineNo int) (a, c int, kind lineKind, err error) {
+func parseEdgeLineSlow(line []byte) (a, c int, kind lineKind, err error) {
 	s := strings.TrimSpace(string(line))
 	if s == "" || strings.HasPrefix(s, "#") {
 		return 0, 0, lineSkip, nil
 	}
 	fields := strings.Fields(s)
 	if len(fields) != 2 {
-		return 0, 0, 0, fmt.Errorf("graph: line %d: want 2 fields, got %d", lineNo, len(fields))
+		return 0, 0, 0, fmt.Errorf("want 2 fields, got %d", len(fields))
 	}
 	if a, err = strconv.Atoi(fields[0]); err != nil {
-		return 0, 0, 0, fmt.Errorf("graph: line %d: %w", lineNo, err)
+		return 0, 0, 0, err
 	}
 	if c, err = strconv.Atoi(fields[1]); err != nil {
-		return 0, 0, 0, fmt.Errorf("graph: line %d: %w", lineNo, err)
+		return 0, 0, 0, err
 	}
 	return a, c, linePair, nil
 }

@@ -43,22 +43,31 @@ func TestReadEdgeListAllocsFlatInLines(t *testing.T) {
 }
 
 // TestReadEdgeListTinyBodyAllocatesLittle: a tiny body pays for a
-// small read buffer, not for the 1 MiB longest line it could have held.
+// small read buffer, not for the 1 MiB longest line it could have held,
+// whether it is read as an edge list or as an append batch.
 func TestReadEdgeListTinyBodyAllocatesLittle(t *testing.T) {
 	const runs = 50
 	body := []byte("3 1\n0 1\n")
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		if _, err := ReadEdgeListLimit(bytes.NewReader(body), 0, 0); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		parse func(io.Reader) error
+	}{
+		{"ReadEdgeListLimit", func(r io.Reader) error { _, err := ReadEdgeListLimit(r, 0, 0); return err }},
+		{"ReadEdgeBatch", func(r io.Reader) error { _, err := ReadEdgeBatch(r, 4, 16); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if err := tc.parse(bytes.NewReader(body)); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
 		}
-	}
-	runtime.ReadMemStats(&after)
-	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
-	t.Logf("%d B per parse of a %d-byte body", perRun, len(body))
-	if perRun > 2*readBufBytes {
-		t.Errorf("parsing a %d-byte body allocates %d B, want at most %d", len(body), perRun, 2*readBufBytes)
+		runtime.ReadMemStats(&after)
+		perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s: %d B per parse of a %d-byte body", tc.name, perRun, len(body))
+		if perRun > 2*readBufBytes {
+			t.Errorf("%s: parsing a %d-byte body allocates %d B, want at most %d", tc.name, len(body), perRun, 2*readBufBytes)
+		}
 	}
 }
 
@@ -192,4 +201,27 @@ func BenchmarkReadEdgeList(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(m)*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
+}
+
+// BenchmarkReadEdgeBatch parses one append body the size perfbench
+// appends (256 edges) and reports the allocation per body.
+func BenchmarkReadEdgeBatch(b *testing.B) {
+	rng := rand.New(rand.NewPCG(4, 1))
+	edges := make([]Edge, 256)
+	for i := range edges {
+		edges[i] = Edge{U: Vertex(rng.IntN(1 << 20)), V: Vertex(rng.IntN(1 << 20))}
+	}
+	var buf bytes.Buffer
+	if err := WriteEdgeBatch(&buf, edges); err != nil {
+		b.Fatal(err)
+	}
+	text := buf.Bytes()
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadEdgeBatch(bytes.NewReader(text), 1<<20, 1<<20); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -90,3 +90,50 @@ func referenceReadEdgeListLimit(r io.Reader, maxVertices, maxEdges int) (*Graph,
 	}
 	return b.Build(), nil
 }
+
+// referenceReadEdgeBatch is the original bufio.Scanner parser of
+// ReadEdgeBatch, kept verbatim as the oracle of FuzzReadEdgeBatch, which
+// names the intended differences.
+func referenceReadEdgeBatch(r io.Reader, maxVertex, maxEdges int) ([]Edge, error) {
+	if maxEdges <= 0 {
+		return nil, fmt.Errorf("graph: batch edge limit %d rejects all batches", maxEdges)
+	}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	hint := maxEdges
+	if hint > maxEdgeHint {
+		hint = maxEdgeHint
+	}
+	edges := make([]Edge, 0, min(hint, 64))
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) != 2 {
+			return nil, fmt.Errorf("graph: batch line %d: want 2 fields, got %d", lineNo, len(fields))
+		}
+		u, err := strconv.Atoi(fields[0])
+		if err != nil {
+			return nil, fmt.Errorf("graph: batch line %d: %w", lineNo, err)
+		}
+		v, err := strconv.Atoi(fields[1])
+		if err != nil {
+			return nil, fmt.Errorf("graph: batch line %d: %w", lineNo, err)
+		}
+		if u < 0 || u >= maxVertex || v < 0 || v >= maxVertex {
+			return nil, fmt.Errorf("graph: batch line %d: edge (%d,%d) out of range [0,%d)", lineNo, u, v, maxVertex)
+		}
+		if len(edges) >= maxEdges {
+			return nil, fmt.Errorf("graph: batch line %d: more than %d edges", lineNo, maxEdges)
+		}
+		edges = append(edges, Edge{U: Vertex(u), V: Vertex(v)})
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return edges, nil
+}

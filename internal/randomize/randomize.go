@@ -34,17 +34,15 @@ import (
 type Engine int
 
 const (
-	// EngineAuto picks Layered when the layered graph fits a host memory
-	// budget and Direct otherwise.
-	EngineAuto Engine = iota
+	// EngineDirect, the zero value, samples walks directly: exactly
+	// independent targets, O(n·k·t) time, Theorem 3 round accounting — a
+	// substitution for the layered graph that ablation A3 (A3WalkEngines
+	// in internal/bench) measures.
+	EngineDirect Engine = iota
 	// EngineLayered is the faithful Theorem 3 data structure (Section
-	// 5.1): Θ(n·t²) space, walks certified independent.
+	// 5.1): Θ(n·t²) space, walks certified independent. It runs only
+	// where a caller names it.
 	EngineLayered
-	// EngineDirect samples walks directly: exactly independent targets,
-	// O(n·k·t) time, Theorem 3 round accounting — a substitution for the
-	// layered graph that ablation A3 (A3WalkEngines in internal/bench)
-	// measures.
-	EngineDirect
 )
 
 // Params tunes the randomization step.
@@ -56,13 +54,10 @@ type Params struct {
 	WalksPerVertex int
 	// Walk configures the Theorem 3 data structure (Layered engine).
 	Walk randwalk.Params
-	// Engine selects the walk implementation.
+	// Engine selects the walk implementation; the zero value is
+	// EngineDirect.
 	Engine Engine
 }
-
-// layeredBudget is the Auto-engine threshold on layered-graph entries
-// (n·width·(t+1)); above it the Direct engine is used.
-const layeredBudget = 8 << 20
 
 // PaperParams returns k = 50·log₂ n and the paper's layered-graph width.
 func PaperParams(n int) Params {
@@ -100,7 +95,8 @@ const LazyStay = 2.0 / 3
 // Randomize runs Lemma 5.1 on a Δ-regular graph g with component mixing
 // times at most walkLength. The output graph H has V(H) = V(G), n·k edges,
 // and with high probability each component of H equals the corresponding
-// component of G and is distributed close to G(n_i, 2k). Both engines
+// component of G and is distributed close to G(n_i, 2k). params.Engine
+// picks the walker, Direct unless the caller names Layered. Both engines
 // walk the lazy walk that stays put with probability LazyStay: the
 // Layered engine on AddSelfLoops(g, Δ), the Direct engine on g through
 // randwalk.DirectWalks' stay probability, which draws each walk's move
@@ -123,20 +119,11 @@ func Randomize(sim *mpc.Sim, g *graph.Graph, walkLength int, params Params, rng 
 		return nil, stats, fmt.Errorf("randomize: walk length %d < 1", walkLength)
 	}
 	sim.Charge(1, "randomize:selfloops")
-	engine := params.Engine
-	if engine == EngineAuto {
-		width := 2 * walkLength // both presets use the paper's width
-		if n*width*(walkLength+1) > layeredBudget {
-			engine = EngineDirect
-		} else {
-			engine = EngineLayered
-		}
-	}
 	var (
 		targets [][]graph.Vertex
 		err     error
 	)
-	switch engine {
+	switch params.Engine {
 	case EngineLayered:
 		var frac float64
 		lazy := graph.AddSelfLoops(g, delta)
@@ -146,7 +133,7 @@ func Randomize(sim *mpc.Sim, g *graph.Graph, walkLength int, params Params, rng 
 		targets, err = randwalk.DirectWalks(sim, g, walkLength, params.WalksPerVertex, LazyStay, rng)
 		stats.CertifiedFraction = 1 // exact product distribution
 	default:
-		return nil, stats, fmt.Errorf("randomize: unknown engine %d", engine)
+		return nil, stats, fmt.Errorf("randomize: unknown engine %d", params.Engine)
 	}
 	if err != nil {
 		return nil, stats, fmt.Errorf("randomize: walks: %w", err)

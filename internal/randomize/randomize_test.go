@@ -108,31 +108,37 @@ func TestRandomizeTargetUniformity(t *testing.T) {
 	}
 }
 
+// TestBatchesParallelCharging: three parallel batches charge the rounds
+// of one, under either engine, and draw distinct samples.
 func TestBatchesParallelCharging(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 7))
-	g, _ := expander.SamplePermutationRegular(30, 6, rng)
-	one := mpc.New(mpc.Config{MachineMemory: 1 << 16, Machines: 8})
-	if _, _, err := Randomize(one, g, 8, PracticalParams(30), rng); err != nil {
-		t.Fatal(err)
-	}
-	many := mpc.New(mpc.Config{MachineMemory: 1 << 16, Machines: 8})
-	gs, stats, err := Batches(many, g, 8, 3, PracticalParams(30), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gs) != 3 {
-		t.Fatalf("got %d batches", len(gs))
-	}
-	if many.Rounds() != one.Rounds() {
-		t.Errorf("3 parallel batches charged %d rounds, single batch %d", many.Rounds(), one.Rounds())
-	}
-	if stats.CertifiedFraction <= 0 {
-		t.Error("certified fraction not aggregated")
-	}
-	// Batches must be distinct samples.
-	if gs[0].Edges()[0] == gs[1].Edges()[0] && gs[0].Edges()[1] == gs[1].Edges()[1] &&
-		gs[0].Edges()[2] == gs[1].Edges()[2] && gs[0].Edges()[3] == gs[1].Edges()[3] {
-		t.Error("batches look identical; fresh randomness not used")
+	for _, engine := range []Engine{EngineDirect, EngineLayered} {
+		rng := rand.New(rand.NewPCG(7, 7))
+		g, _ := expander.SamplePermutationRegular(30, 6, rng)
+		params := PracticalParams(30)
+		params.Engine = engine
+		one := mpc.New(mpc.Config{MachineMemory: 1 << 16, Machines: 8})
+		if _, _, err := Randomize(one, g, 8, params, rng); err != nil {
+			t.Fatal(err)
+		}
+		many := mpc.New(mpc.Config{MachineMemory: 1 << 16, Machines: 8})
+		gs, stats, err := Batches(many, g, 8, 3, params, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(gs) != 3 {
+			t.Fatalf("engine %d: got %d batches", engine, len(gs))
+		}
+		if many.Rounds() != one.Rounds() {
+			t.Errorf("engine %d: 3 parallel batches charged %d rounds, single batch %d", engine, many.Rounds(), one.Rounds())
+		}
+		if stats.CertifiedFraction <= 0 {
+			t.Errorf("engine %d: certified fraction not aggregated", engine)
+		}
+		// Batches must be distinct samples.
+		if gs[0].Edges()[0] == gs[1].Edges()[0] && gs[0].Edges()[1] == gs[1].Edges()[1] &&
+			gs[0].Edges()[2] == gs[1].Edges()[2] && gs[0].Edges()[3] == gs[1].Edges()[3] {
+			t.Errorf("engine %d: batches look identical; fresh randomness not used", engine)
+		}
 	}
 }
 
@@ -147,7 +153,6 @@ func TestBatchesDeterministicOnTwoCPUs(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := PracticalParams(g.N())
-	params.Engine = EngineDirect
 	type result struct {
 		graphs []*graph.Graph
 		stats  Stats

@@ -268,7 +268,7 @@ func (s *Service) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if grow {
 		maxVertex = s.cfg.MaxVertices
 		if maxVertex < 0 {
-			maxVertex = int(^uint(0) >> 1) // unlimited config: full int range
+			maxVertex = int(^uint(0) >> 1) // unlimited config; ReadEdgeBatch caps it at the Vertex range
 		}
 	}
 	maxEdges := maxBatchEdges

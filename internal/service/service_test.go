@@ -26,25 +26,42 @@ func newTestService(t *testing.T) *Service {
 	return s
 }
 
-// TestLoadOversizedBodyKeepsMaxBytesError: handleLoad answers 413 only
-// if the *http.MaxBytesError of its body reader survives the parse.
-// The 1 KiB cut lands at every offset of an edge line across the
-// bodies; wherever it falls, the partial line in front of it must not
-// be parsed into a different error (or an edge).
+// TestLoadOversizedBodyKeepsMaxBytesError: handleLoad and handleAppend
+// answer 413 only if the *http.MaxBytesError of their body reader
+// survives the parse. The 1 KiB cut lands at every offset of an edge
+// line across the bodies; wherever it falls, the partial line in front
+// of it must not be parsed into a different error (or an edge). The
+// append body is cut by a MaxBytesReader of the test's own, inside the
+// handler's larger one, which passes the error through unchanged.
 func TestLoadOversizedBodyKeepsMaxBytesError(t *testing.T) {
 	s := newTestService(t)
+	h := NewHandler(s)
+	target, err := s.Load("target", strings.NewReader("2000 0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var edges strings.Builder
 	for i := 0; i < 400; i++ {
 		fmt.Fprintf(&edges, "%d %d\n", i, 1000+i)
 	}
 	for pad := 0; pad < 12; pad++ {
-		body := "#" + strings.Repeat("x", pad) + "\n2000 400\n" + edges.String()
-		r := http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(strings.NewReader(body)), 1<<10)
+		lines := "#" + strings.Repeat("x", pad) + "\n" + edges.String()
+		r := http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(strings.NewReader("2000 400\n"+lines)), 1<<10)
 		_, err := s.Load("big", r)
 		var tooLarge *http.MaxBytesError
 		if !errors.As(err, &tooLarge) {
 			t.Fatalf("pad %d: Load error %v does not carry *http.MaxBytesError", pad, err)
 		}
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/graphs/"+target.ID+"/edges", nil)
+		req.Body = http.MaxBytesReader(rec, io.NopCloser(strings.NewReader(lines)), 1<<10)
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("pad %d: append answered %d %s, want 413", pad, rec.Code, rec.Body)
+		}
+	}
+	if v := target.LatestVersion(); v != 0 {
+		t.Fatalf("cut append bodies created version %d", v)
 	}
 }
 

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -65,6 +67,27 @@ func TestAppendBumpsVersionAndChainsDigest(t *testing.T) {
 	c := s.Counters()
 	if c.EdgeBatches != 2 || c.EdgesAppended != 2 {
 		t.Fatalf("counters: %+v", c)
+	}
+}
+
+// TestAppendGrowUnlimitedRejectsWideEndpoint: with MaxVertices
+// unlimited, ?grow=true lets the batch parser take the full int range;
+// an endpoint past the Vertex range must answer 400 and create no
+// version, not wrap to 32 bits ((1,0) for 2^32+1) and append.
+func TestAppendGrowUnlimitedRejectsWideEndpoint(t *testing.T) {
+	s := New(Config{JobWorkers: 1, MaxVertices: -1})
+	defer s.Close()
+	sg := loadTwoComponents(t, s)
+	h := NewHandler(s)
+	for _, body := range []string{"4294967297 0\n", "0 2147483648\n"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/graphs/"+sg.ID+"/edges?grow=true", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "out of range") {
+			t.Errorf("body %q: got %d %s, want 400 out of range", body, rec.Code, rec.Body)
+		}
+	}
+	if v := sg.LatestVersion(); v != 0 {
+		t.Fatalf("rejected appends created version %d", v)
 	}
 }
 
