@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race fuzz-smoke chaos-smoke repl-chaos-smoke bench-smoke bench
+.PHONY: build test vet gofmt-check lint race fuzz-smoke chaos-smoke repl-chaos-smoke bench-smoke bench
 
 build:
 	$(GO) build ./...
@@ -12,12 +12,18 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static analysis gate: go vet, then the repo's own invariant checkers
-# (cmd/wcclint: determinism, faultseam, hotpath, durability — see
-# internal/lint/README.md), then staticcheck if it is on PATH (CI
-# installs a pinned version; the dev container may not have it, so it
-# is optional here rather than a hard dependency).
-lint:
+# Fails listing every tracked Go file gofmt would rewrite. testdata is
+# exempt: the analyzer fixtures there are inputs, some deliberately odd.
+gofmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go' | grep -v '/testdata/')); \
+	if [ -n "$$out" ]; then echo "gofmt -l: not gofmt-clean:"; echo "$$out"; exit 1; fi
+
+# Static analysis gate: the gofmt check, go vet, then the repo's own
+# invariant checkers (cmd/wcclint: determinism, faultseam, hotpath,
+# durability — see internal/lint/README.md), then staticcheck if it is
+# on PATH (CI installs a pinned version; the dev container may not have
+# it, so it is optional here rather than a hard dependency).
+lint: gofmt-check
 	$(GO) vet ./...
 	$(GO) run ./cmd/wcclint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \

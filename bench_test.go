@@ -453,12 +453,12 @@ func BenchmarkSolveNative(b *testing.B) { benchmarkSolve(b, "parallel") }
 func BenchmarkSolveMPC(b *testing.B)    { benchmarkSolve(b, "wcc") }
 
 // BenchmarkSolveMapped is the out-of-core member of the pair: the same
-// graph solved through the view path over a WCCM1 image instead of the
-// in-RAM CSR. The delta against SolveNative is the price of reading
-// adjacency through the mapped layout (zero-copy subslices here, as on
-// a little-endian mmap) rather than native slices. perfbench measures
-// it over a real mmap: parallel.solve_mapped_edges_per_s ÷
-// parallel.solve_edges_per_s = 0.99.
+// graph solved by "parallel" over a WCCM1 image (a MappedGraph view,
+// scanned in place) instead of the in-RAM CSR. The delta against
+// SolveNative is the price of reading adjacency through the mapped
+// layout (zero-copy subslices here, as on a little-endian mmap) rather
+// than native slices. perfbench measures it over a real mmap:
+// parallel.solve_mapped_edges_per_s ÷ parallel.solve_edges_per_s = 0.99.
 func BenchmarkSolveMapped(b *testing.B) {
 	g := solveBenchGraph(b)
 	var buf bytes.Buffer
@@ -469,18 +469,10 @@ func BenchmarkSolveMapped(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := algo.Get("parallel")
-	if err != nil {
-		b.Fatal(err)
-	}
-	va, ok := a.(algo.ViewCapable)
-	if !ok {
-		b.Fatal("parallel algorithm lost its view path")
-	}
 	components := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := va.FindView(mg, algo.Options{Seed: 8, Lambda: 0.3, Workers: -1})
+		res, err := algo.Find("parallel", mg, algo.Options{Seed: 8, Lambda: 0.3, Workers: -1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -18,8 +18,10 @@
 // neighbor sampling plus a lock-free concurrent union-find on the
 // executor pool, no MPC simulation). All implementations return exact
 // labelings and are deterministic for a fixed Options.Seed regardless
-// of Options.Workers, so a labeling is addressable by (graph digest,
-// name, seed, λ, memory). cmd/wccfind and the experiment harness
+// of Options.Workers, and each declares (algo.ReadsOf) which of seed, λ
+// and memory its labeling depends on, so a labeling is addressable by
+// (graph digest, name, the options it reads). Every algorithm reads its
+// input as a graph.View. cmd/wccfind and the experiment harness
 // select algorithms through the registry instead of per-binary switches.
 // Exactness is enforced by a metamorphic conformance suite: all
 // algorithms must agree up to canonical relabeling (algo.CanonicalForm)
@@ -118,17 +120,21 @@
 // snapshot on open through the fault.FS seam (positioned reads when
 // mmap is unavailable) and serves graph.View handles straight off the
 // mapping, with appended batches layered as an in-memory overlay.
-// Every view-capable algorithm (today "parallel", via
-// algo.ViewCapable and parallel.ComponentsView) solves through that
-// interface with only the O(n) union-find and label arrays on the heap,
-// so graphs larger than RAM or GOMEMLIMIT load, solve, and serve —
+// Every algorithm's Find takes a graph.View. "parallel"
+// (parallel.ComponentsView) and "dynamic" scan the view in place with
+// only the O(n) union-find and label arrays on the heap, so graphs
+// larger than RAM or GOMEMLIMIT load, solve, and serve —
 // bit-identically to the in-RAM path (the labeling contract is
 // metamorphically enforced) and, by the perfbench per-layer metrics, at
 // 0.99 of its speed (parallel.solve_mapped_edges_per_s ÷
-// parallel.solve_edges_per_s over a real mmap). The incremental engine
-// is seeded from the same view. Compaction rebases snapshots by
-// streaming merge, mappings are refcounted against eviction races, and
-// the crash sweep runs the whole fault-site table, map/unmap included.
+// parallel.solve_edges_per_s over a real mmap). The simulated MPC
+// algorithms materialize the view for the length of one solve
+// (graph.MaterializeView). The incremental engine is seeded from the
+// same view, and a replica installs a transferred snapshot from its
+// verified mapping without building a CSR. Compaction rebases
+// snapshots by streaming merge, mappings are refcounted against
+// eviction races, and the crash sweep runs the whole fault-site table,
+// map/unmap included.
 // See internal/store/README.md, "Mapping lifetime".
 //
 // # Execution engine

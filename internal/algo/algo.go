@@ -11,8 +11,15 @@
 // All registered algorithms return exact component labelings; they differ
 // only in the rounds (and, for graph exponentiation, memory) they charge.
 // For a fixed Options.Seed every algorithm is deterministic regardless of
-// Options.Workers, which makes (graph, name, seed, λ, memory) a sound
-// cache key for the labeling cache in internal/service.
+// Options.Workers, and each declares (ReadsOf) which of Seed, λ and
+// Memory can change its labeling, which makes (graph, name, the options
+// it reads) a sound cache key for the labeling cache in internal/service.
+//
+// Every algorithm reads its input as a graph.View — the read-only edge
+// collection of the paper's model. "parallel" and "dynamic" scan the
+// view in place, so an out-of-core (mmap-backed) graph never becomes
+// heap-resident; the simulated algorithms materialize it with
+// graph.MaterializeView, which hands an in-RAM *graph.Graph back as is.
 package algo
 
 import (
@@ -76,8 +83,9 @@ type Result struct {
 type Algorithm interface {
 	// Name is the registry key ("wcc", "sublinear", ...).
 	Name() string
-	// Find computes the connected components of g.
-	Find(g *graph.Graph, opts Options) (*Result, error)
+	// Find computes the connected components of the graph v. v is only
+	// read, and only until Find returns.
+	Find(v graph.View, opts Options) (*Result, error)
 }
 
 var (
@@ -125,45 +133,21 @@ func Names() []string {
 	return names
 }
 
-// Find is the one-shot convenience: look up name and run it on g.
-func Find(name string, g *graph.Graph, opts Options) (*Result, error) {
+// Find is the one-shot convenience: look up name and run it on v.
+func Find(name string, v graph.View, opts Options) (*Result, error) {
 	a, err := Get(name)
 	if err != nil {
 		return nil, err
 	}
-	return a.Find(g, opts)
-}
-
-// ViewCapable is the optional capability interface an Algorithm
-// implements when it can solve directly over a graph.View — no
-// materialized *Graph, so the adjacency may live out of core (an
-// mmap-backed store snapshot). FindView must return exactly what Find
-// returns on the materialized equivalent, bit for bit; the service
-// relies on that to solve every view-capable algorithm over the store's
-// view on both backends without changing results. Today: "parallel".
-type ViewCapable interface {
-	FindView(v graph.View, opts Options) (*Result, error)
+	return a.Find(v, opts)
 }
 
 // CanonicalForm returns the canonical relabeling of a dense component
-// labeling: labels renumbered by first appearance (vertex 0 upward). Two
-// labelings describe the same partition iff their canonical forms are
-// bit-identical, which is how the metamorphic conformance suite and the
-// service's dynamic-vs-resolve checks compare algorithms without caring
-// which label values each one happened to emit.
+// labeling: graph.Densify's first-appearance renumbering, without the
+// count. Two labelings describe the same partition iff their canonical
+// forms are bit-identical.
 func CanonicalForm(labels []graph.Vertex) []graph.Vertex {
-	out := make([]graph.Vertex, len(labels))
-	remap := make(map[graph.Vertex]graph.Vertex)
-	next := graph.Vertex(0)
-	for v, l := range labels {
-		canon, ok := remap[l]
-		if !ok {
-			canon = next
-			remap[l] = canon
-			next++
-		}
-		out[v] = canon
-	}
+	out, _ := graph.Densify(labels)
 	return out
 }
 
@@ -191,7 +175,8 @@ type wccAlgo struct{}
 
 func (wccAlgo) Name() string { return "wcc" }
 
-func (wccAlgo) Find(g *graph.Graph, opts Options) (*Result, error) {
+func (wccAlgo) Find(v graph.View, opts Options) (*Result, error) {
+	g := graph.MaterializeView(v)
 	res, err := core.FindComponents(g, core.Options{
 		Lambda: opts.Lambda, Seed: opts.Seed, Workers: opts.Workers,
 	})
@@ -212,7 +197,8 @@ type sublinearAlgo struct{}
 
 func (sublinearAlgo) Name() string { return "sublinear" }
 
-func (sublinearAlgo) Find(g *graph.Graph, opts Options) (*Result, error) {
+func (sublinearAlgo) Find(v graph.View, opts Options) (*Result, error) {
+	g := graph.MaterializeView(v)
 	res, err := sublinear.Components(g, sublinear.Options{
 		MachineMemory: opts.Memory, Seed: opts.Seed, Workers: opts.Workers,
 	})
@@ -238,13 +224,13 @@ type dynamicAlgo struct{}
 
 func (dynamicAlgo) Name() string { return "dynamic" }
 
-func (dynamicAlgo) Find(g *graph.Graph, opts Options) (*Result, error) {
-	e := dynamic.FromGraph(g)
+func (dynamicAlgo) Find(v graph.View, opts Options) (*Result, error) {
+	e := dynamic.FromGraph(v)
 	return &Result{
 		Labels:     e.Labels(),
 		Components: e.Components(),
 		Rounds:     0, // sequential; charges no MPC rounds
-		PeakEdges:  g.M(),
+		PeakEdges:  v.NumEdges(),
 	}, nil
 }
 
@@ -254,26 +240,13 @@ func (dynamicAlgo) Find(g *graph.Graph, opts Options) (*Result, error) {
 // charged. It is the service's default solve path; the paper algorithms
 // remain the research/verify path. The closing canonical relabeling
 // makes its output a pure function of the partition, so it is
-// bit-identical across Seed, Workers, and schedule — CanonicalOptions
-// zeroes every option field for it, like the baselines.
+// bit-identical across Seed, Workers, and schedule — it reads no
+// option that can change a labeling, like the baselines.
 type parallelAlgo struct{}
 
 func (parallelAlgo) Name() string { return "parallel" }
 
-func (parallelAlgo) Find(g *graph.Graph, opts Options) (*Result, error) {
-	res := parallel.Components(g, parallel.Options{Seed: opts.Seed, Workers: opts.Workers})
-	return &Result{
-		Labels:     res.Labels,
-		Components: res.Components,
-		Rounds:     0, // native shared-memory; charges no MPC rounds
-		PeakEdges:  g.M(),
-	}, nil
-}
-
-// FindView is the out-of-core entry: same solver over any graph.View,
-// bit-identical to Find on the materialized graph (the ViewCapable
-// contract; internal/parallel proves it).
-func (parallelAlgo) FindView(v graph.View, opts Options) (*Result, error) {
+func (parallelAlgo) Find(v graph.View, opts Options) (*Result, error) {
 	res := parallel.ComponentsView(v, parallel.Options{Seed: opts.Seed, Workers: opts.Workers})
 	return &Result{
 		Labels:     res.Labels,
@@ -293,7 +266,8 @@ type baselineAlgo struct {
 
 func (b baselineAlgo) Name() string { return b.name }
 
-func (b baselineAlgo) Find(g *graph.Graph, opts Options) (*Result, error) {
+func (b baselineAlgo) Find(v graph.View, opts Options) (*Result, error) {
+	g := graph.MaterializeView(v)
 	res, err := b.run(AutoSim(g, opts.Workers), g)
 	if err != nil {
 		return nil, err
@@ -321,24 +295,44 @@ func AutoSim(g *graph.Graph, workers int) *mpc.Sim {
 	return mpc.New(cfg)
 }
 
-// CanonicalOptions zeroes the Options fields the named algorithm does not
-// consume, so caches keyed on (graph, name, options) do not split or
-// re-run identical labelings: Workers never affects results, λ only
-// steers "wcc", Memory only "sublinear", and the baselines, "dynamic",
-// and "parallel" (whose seed steers heuristics, never output) ignore
-// the seed too. Unknown names are returned unchanged.
-func CanonicalOptions(name string, o Options) Options {
-	if _, err := Get(name); err != nil {
-		return o
-	}
-	o.Workers = 0
+// Reads is the set of Options fields that can change an algorithm's
+// labeling. Workers never can, so it has no bit.
+type Reads uint8
+
+const (
+	ReadsSeed Reads = 1 << iota
+	ReadsLambda
+	ReadsMemory
+)
+
+// ReadsOf returns the options the named algorithm's labeling depends
+// on: seed and λ for "wcc", seed and memory for "sublinear", nothing
+// for the rest — the baselines and "dynamic" are deterministic, and
+// "parallel"'s seed steers heuristics, never output. Unknown names read
+// nothing; callers that need them known check Get first.
+func ReadsOf(name string) Reads {
 	switch name {
 	case "wcc":
-		o.Memory = 0
+		return ReadsSeed | ReadsLambda
 	case "sublinear":
-		o.Lambda = 0
-	default:
-		o.Lambda, o.Seed, o.Memory = 0, 0, 0
+		return ReadsSeed | ReadsMemory
 	}
-	return o
+	return 0
+}
+
+// Canonical zeroes the fields of o outside r, Workers included, so
+// caches keyed on (graph, name, options) neither split nor re-run
+// identical labelings.
+func (r Reads) Canonical(o Options) Options {
+	c := Options{}
+	if r&ReadsSeed != 0 {
+		c.Seed = o.Seed
+	}
+	if r&ReadsLambda != 0 {
+		c.Lambda = o.Lambda
+	}
+	if r&ReadsMemory != 0 {
+		c.Memory = o.Memory
+	}
+	return c
 }

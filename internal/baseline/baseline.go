@@ -40,7 +40,7 @@ type Result struct {
 }
 
 func finish(labels []graph.Vertex, rounds, peak int) *Result {
-	dense, count := densify(labels)
+	dense, count := graph.Densify(labels)
 	return &Result{Labels: dense, Components: count, Rounds: rounds, PeakEdges: peak}
 }
 
@@ -348,20 +348,4 @@ func sameSet(a, b map[graph.Vertex]bool) bool {
 		}
 	}
 	return true
-}
-
-func densify(labels []graph.Vertex) ([]graph.Vertex, int) {
-	remap := make(map[graph.Vertex]graph.Vertex)
-	out := make([]graph.Vertex, len(labels))
-	next := graph.Vertex(0)
-	for v, l := range labels {
-		d, ok := remap[l]
-		if !ok {
-			d = next
-			remap[l] = d
-			next++
-		}
-		out[v] = d
-	}
-	return out, int(next)
 }

@@ -201,7 +201,7 @@ func findWithLambda(g *graph.Graph, opts Options) (*Result, error) {
 	stats.FinishMerges = merges
 	stats.Steps.Finish += finishRounds
 	fillSimStats(&stats, sim)
-	labels, count := densify(labels)
+	labels, count := graph.Densify(labels)
 	return &Result{Labels: labels, Components: count, Stats: stats}, nil
 }
 
@@ -270,7 +270,7 @@ func oblivious(g *graph.Graph, opts Options) (*Result, error) {
 	stats.FinishMerges = merges
 	stats.Steps.Finish += finishRounds
 	fillSimStats(&stats, sim)
-	labels, count := densify(final)
+	labels, count := graph.Densify(final)
 	return &Result{Labels: labels, Components: count, Stats: stats}, nil
 }
 
@@ -411,7 +411,7 @@ func correctnessFinish(sim *mpc.Sim, g *graph.Graph, labels []graph.Vertex) (mer
 		// Contract + BFS on the part graph; depth ≤ its diameter. We
 		// charge the BFS depth of the merge forest, measured via the
 		// contraction of g by the pre-merge labels.
-		dense, parts := densify(labels)
+		dense, parts := graph.Densify(labels)
 		if c, err := graph.Contract(g, dense, parts); err == nil {
 			sim.ChargeSort(g.M())
 			d := 1
@@ -427,23 +427,6 @@ func correctnessFinish(sim *mpc.Sim, g *graph.Graph, labels []graph.Vertex) (mer
 		labels[v] = uf.Find(graph.Vertex(v))
 	}
 	return crossing, sim.Rounds() - before
-}
-
-// densify maps arbitrary label values to dense [0, count) labels.
-func densify(labels []graph.Vertex) ([]graph.Vertex, int) {
-	remap := make(map[graph.Vertex]graph.Vertex)
-	out := make([]graph.Vertex, len(labels))
-	next := graph.Vertex(0)
-	for v, l := range labels {
-		d, ok := remap[l]
-		if !ok {
-			d = next
-			remap[l] = d
-			next++
-		}
-		out[v] = d
-	}
-	return out, int(next)
 }
 
 func accumulate(dst *Stats, src Stats) {

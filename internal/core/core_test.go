@@ -198,16 +198,3 @@ func TestStatsStepsSumToTotal(t *testing.T) {
 		t.Errorf("step rounds %d != total %d", sum, res.Stats.Rounds)
 	}
 }
-
-func TestDensify(t *testing.T) {
-	labels, count := densify([]graph.Vertex{7, 7, 3, 7, 3, 9})
-	if count != 3 {
-		t.Fatalf("count = %d", count)
-	}
-	want := []graph.Vertex{0, 0, 1, 0, 1, 2}
-	for i := range want {
-		if labels[i] != want[i] {
-			t.Fatalf("labels = %v", labels)
-		}
-	}
-}

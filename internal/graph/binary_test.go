@@ -131,13 +131,13 @@ func TestBinaryTruncation(t *testing.T) {
 
 func TestBinaryCorruption(t *testing.T) {
 	cases := map[string][]byte{
-		"bad magic":      []byte("NOPE1\nxxxx"),
-		"text input":     []byte("3 2\n0 1\n1 2\n"),
-		"empty":          nil,
-		"magic only":     []byte(binaryMagic),
-		"huge n":         append([]byte(binaryMagic), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
-		"edge oob":       append([]byte(binaryMagic), 2, 1, 5, 0), // n=2 m=1, du=5 → u=5 out of range
-		"negative v":     append([]byte(binaryMagic), 3, 1, 0, 1), // n=3 m=1, dv zigzag 1 → v=-1
+		"bad magic":  []byte("NOPE1\nxxxx"),
+		"text input": []byte("3 2\n0 1\n1 2\n"),
+		"empty":      nil,
+		"magic only": []byte(binaryMagic),
+		"huge n":     append([]byte(binaryMagic), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
+		"edge oob":   append([]byte(binaryMagic), 2, 1, 5, 0), // n=2 m=1, du=5 → u=5 out of range
+		"negative v": append([]byte(binaryMagic), 3, 1, 0, 1), // n=3 m=1, dv zigzag 1 → v=-1
 		"overflow varint": append([]byte(binaryMagic),
 			3, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80),
 	}

@@ -285,6 +285,31 @@ func TestComponents(t *testing.T) {
 	}
 }
 
+// TestDensify pins the first-appearance relabel: order, count,
+// idempotence, and partition preservation.
+func TestDensify(t *testing.T) {
+	in := []Vertex{7, 7, 3, 7, 3, 9}
+	got, count := Densify(in)
+	want := []Vertex{0, 0, 1, 0, 1, 2}
+	if count != 3 {
+		t.Fatalf("count = %d, want 3", count)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Densify(%v) = %v, want %v", in, got, want)
+		}
+	}
+	again, _ := Densify(got)
+	for i := range got {
+		if again[i] != got[i] {
+			t.Fatal("Densify not idempotent on canonical input")
+		}
+	}
+	if !SameLabeling(in, got) {
+		t.Fatal("Densify changed the partition")
+	}
+}
+
 func TestBFSAndDiameter(t *testing.T) {
 	tests := []struct {
 		name string

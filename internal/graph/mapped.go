@@ -9,6 +9,7 @@ import (
 	"hash"
 	"io"
 	"math"
+	"slices"
 	"unsafe"
 )
 
@@ -267,20 +268,13 @@ func deltaCSR(n int, edges []Edge) (off []int64, adj []Vertex) {
 		cursor[e.V]++
 	}
 	for v := 0; v < n; v++ {
-		ns := adj[off[v]:off[v+1]]
-		sortVertices(ns)
-	}
-	return off, adj
-}
-
-// sortVertices is an insertion sort: delta lists are tiny (a batch's
-// edges spread over n vertices), where it beats sort.Slice's overhead.
-func sortVertices(ns []Vertex) {
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && ns[j] < ns[j-1]; j-- {
-			ns[j], ns[j-1] = ns[j-1], ns[j]
+		// Most lists of a batch window spread over n vertices hold
+		// zero or one half-edge; skip the call for those.
+		if off[v+1]-off[v] > 1 {
+			slices.Sort(adj[off[v]:off[v+1]])
 		}
 	}
+	return off, adj
 }
 
 // mergeSorted appends the sorted merge of a and b to dst.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"slices"
 	"testing"
 )
@@ -372,5 +373,63 @@ func TestOverlayCanonicalOrder(t *testing.T) {
 		if !slices.Equal(gotEdges, wantEdges) {
 			t.Fatalf("%s: scanned %v, want %v", name, gotEdges, wantEdges)
 		}
+	}
+}
+
+// TestDeltaHubVertex: one vertex holding >10k delta half-edges, in
+// random order, on either endpoint side and with loops and repeats —
+// the shape compaction folds when a hub absorbs a window of batches.
+// The Overlay's scan and WriteMappedView's encoding must both equal
+// the CSR rebuilt from base ∪ delta.
+func TestDeltaHubVertex(t *testing.T) {
+	const n, hub = 3000, Vertex(17)
+	rng := rand.New(rand.NewPCG(5, 11))
+	base := FromEdges(n, func() []Edge {
+		es := make([]Edge, 4*n)
+		for i := range es {
+			es[i] = Edge{U: Vertex(rng.IntN(n)), V: Vertex(rng.IntN(n))}
+		}
+		return es
+	}())
+	var delta []Edge
+	for i := 0; i < 12000; i++ {
+		w := Vertex(rng.IntN(n + 5)) // some past the base, growing n
+		if i%2 == 0 {
+			delta = append(delta, Edge{U: hub, V: w})
+		} else {
+			delta = append(delta, Edge{U: w, V: hub})
+		}
+		if i%1000 == 0 {
+			delta = append(delta, Edge{U: hub, V: hub}, Edge{U: Vertex(rng.IntN(n)), V: Vertex(rng.IntN(n))})
+		}
+	}
+	nn := n + 5
+	b := NewBuilder(nn)
+	ForEachEdgeView(base, func(e Edge) { b.AddEdge(e.U, e.V) })
+	for _, e := range delta {
+		b.AddEdge(e.U, e.V)
+	}
+	want := b.Build()
+	if d := want.Degree(hub) - base.Degree(hub); d < 10000 {
+		t.Fatalf("hub holds %d delta half-edges, want >= 10000", d)
+	}
+
+	ov := NewOverlay(base, nn, delta)
+	if !sameGraph(t, want, MaterializeView(ov)) {
+		t.Error("Overlay of base and hub delta differs from the rebuilt CSR")
+	}
+	if got := ov.Neighbors(hub, nil); !slices.Equal(got, want.Neighbors(hub, nil)) {
+		t.Error("Overlay hub adjacency differs from the rebuilt CSR")
+	}
+	var enc bytes.Buffer
+	if err := WriteMappedView(&enc, base, nn, delta, nil); err != nil {
+		t.Fatal(err)
+	}
+	mg, err := OpenMappedSource(NewBytesSource(enc.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameGraph(t, want, MaterializeView(mg)) {
+		t.Error("WriteMappedView of base and hub delta differs from the rebuilt CSR")
 	}
 }

@@ -34,6 +34,28 @@ func Components(g *Graph) (labels []Vertex, count int) {
 	return labels, count
 }
 
+// Densify renumbers arbitrary label values to dense [0, count) labels
+// in order of first appearance (vertex 0 upward) and returns the count.
+// The result is a canonical form: two labelings describe the same
+// partition iff their densified labels are bit-identical, which is how
+// the conformance suites compare algorithms regardless of which label
+// values each one emitted.
+func Densify(labels []Vertex) ([]Vertex, int) {
+	remap := make(map[Vertex]Vertex)
+	out := make([]Vertex, len(labels))
+	next := Vertex(0)
+	for v, l := range labels {
+		d, ok := remap[l]
+		if !ok {
+			d = next
+			remap[l] = d
+			next++
+		}
+		out[v] = d
+	}
+	return out, int(next)
+}
+
 // ComponentSizes returns the size of each component given dense labels.
 func ComponentSizes(labels []Vertex, count int) []int {
 	sizes := make([]int, count)

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // View is the read surface connectivity solvers run on: exactly what a
 // neighbor scan needs, nothing that requires the adjacency to be
@@ -64,9 +61,13 @@ func ForEachEdgeView(v View, fn func(e Edge)) {
 
 // MaterializeView rebuilds an in-RAM *Graph from a canonical-form view:
 // the inverse of serving a graph out of core, used when a caller needs
-// the full CSR API (digesting, compaction of small records, wccfind's
-// BFS verification) and has decided the memory cost is acceptable.
+// the full CSR API (the simulated MPC algorithms, compaction of small
+// records, wccfind's BFS verification) and has decided the memory cost
+// is acceptable. A view that already is a *Graph is returned as is.
 func MaterializeView(v View) *Graph {
+	if g, ok := v.(*Graph); ok {
+		return g
+	}
 	b := NewBuilderHint(v.NumVertices(), v.NumEdges())
 	ForEachEdgeView(v, func(e Edge) { b.AddEdge(e.U, e.V) })
 	return b.Build()
@@ -93,29 +94,7 @@ func NewOverlay(base View, n int, edges []Edge) *Overlay {
 	if n < base.NumVertices() {
 		panic(fmt.Sprintf("graph: overlay on %d vertices cannot shrink a %d-vertex base", n, base.NumVertices()))
 	}
-	off := make([]int64, n+1)
-	for _, e := range edges {
-		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
-			panic(fmt.Sprintf("graph: overlay edge (%d,%d) out of range [0,%d)", e.U, e.V, n))
-		}
-		off[e.U+1]++
-		off[e.V+1]++
-	}
-	for v := 0; v < n; v++ {
-		off[v+1] += off[v]
-	}
-	adj := make([]Vertex, off[n])
-	cursor := make([]int64, n)
-	for _, e := range edges {
-		adj[off[e.U]+cursor[e.U]] = e.V
-		cursor[e.U]++
-		adj[off[e.V]+cursor[e.V]] = e.U
-		cursor[e.V]++
-	}
-	for v := 0; v < n; v++ {
-		ns := adj[off[v]:off[v+1]]
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	}
+	off, adj := deltaCSR(n, edges)
 	return &Overlay{base: base, n: n, m: base.NumEdges() + len(edges), off: off, adj: adj}
 }
 

@@ -386,7 +386,7 @@ func (r *Replica) bootstrap(ctx context.Context, gs *gstate) error {
 	if sm.Meta.ID != gs.id {
 		return fmt.Errorf("repl: snapshot for %s arrived on the %s transfer", sm.Meta.ID, gs.id)
 	}
-	if err := r.svc.BootstrapReplicated(sm.Meta, graph.MaterializeView(mg), sm.Version); err != nil {
+	if err := r.svc.BootstrapReplicated(sm.Meta, mg, sm.Version); err != nil {
 		return fmt.Errorf("repl: install snapshot %s@%d: %w", gs.id, sm.Version.Version, err)
 	}
 	r.bootstraps.Add(1)

@@ -182,7 +182,7 @@ func BenchmarkAppendForward(b *testing.B) {
 	b.Cleanup(s.Close)
 	sg, _ := solvedUnion(b, s, 1000, 64)
 	prev := sg.Latest()
-	g := sg.Snapshot(0)
+	g := materialize(b, sg, 0)
 	rng := rand.New(rand.NewPCG(3, 9))
 	random := make([]graph.Edge, 256)
 	for i := range random {

@@ -2,7 +2,10 @@ package service
 
 import (
 	"math/rand/v2"
+	"strings"
 	"testing"
+
+	"repro/internal/algo"
 )
 
 // testKey builds a synthetic labelingKey; i is spread across the digest
@@ -124,5 +127,54 @@ func TestCacheWithDigestPrefix(t *testing.T) {
 	}
 	if got := len(c.withDigestPrefix("cc")); got != 0 {
 		t.Errorf("withDigestPrefix(unknown) = %d labelings, want 0", got)
+	}
+}
+
+// TestSharedLabelingExactlyOutsideReads: two solve specs share one
+// labeling — the second runs no solve — exactly when they differ only
+// in options outside algo.ReadsOf of their algorithm (Workers always is
+// one). Every registered algorithm is checked against every option,
+// and the served labeling echoes only the options the algorithm reads.
+func TestSharedLabelingExactlyOutsideReads(t *testing.T) {
+	base := SolveSpec{Seed: 3, Lambda: 0.3, Memory: 6, Workers: 1}
+	variants := []struct {
+		field string
+		bit   algo.Reads
+		apply func(*SolveSpec)
+	}{
+		{"workers", 0, func(s *SolveSpec) { s.Workers = 2 }},
+		{"seed", algo.ReadsSeed, func(s *SolveSpec) { s.Seed = 11 }},
+		{"lambda", algo.ReadsLambda, func(s *SolveSpec) { s.Lambda = 0.25 }},
+		{"memory", algo.ReadsMemory, func(s *SolveSpec) { s.Memory = 5 }},
+	}
+	for _, name := range realAlgos() {
+		s := newTestService(t)
+		sg, err := s.Load("g", strings.NewReader(twoComponents))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads := algo.ReadsOf(name)
+		spec := base
+		spec.GraphID, spec.Algo = sg.ID, name
+		l, err := s.Solve(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := reads.Canonical(algo.Options{Seed: spec.Seed, Lambda: spec.Lambda, Memory: spec.Memory})
+		if l.Seed != want.Seed || l.Lambda != want.Lambda || l.Memory != want.Memory {
+			t.Fatalf("%s: labeling echoes seed=%d lambda=%g memory=%d, want %+v", name, l.Seed, l.Lambda, l.Memory, want)
+		}
+		for _, vr := range variants {
+			v := spec
+			vr.apply(&v)
+			before := s.Counters().Solves
+			if _, err := s.Solve(v); err != nil {
+				t.Fatal(err)
+			}
+			ran := s.Counters().Solves - before
+			if read := reads&vr.bit != 0; read != (ran == 1) || ran > 1 {
+				t.Fatalf("%s: changing %s ran %d solves; %s reads it: %v", name, vr.field, ran, name, read)
+			}
+		}
 	}
 }

@@ -313,9 +313,9 @@ type blockingAlgo struct {
 
 func (b *blockingAlgo) Name() string { return "test-blocking" }
 
-func (b *blockingAlgo) Find(g *graph.Graph, opts algo.Options) (*algo.Result, error) {
+func (b *blockingAlgo) Find(v graph.View, opts algo.Options) (*algo.Result, error) {
 	<-b.gate
-	return &algo.Result{Labels: make([]graph.Vertex, g.N()), Components: 1}, nil
+	return &algo.Result{Labels: make([]graph.Vertex, v.NumVertices()), Components: 1}, nil
 }
 
 var blocking = &blockingAlgo{gate: make(chan struct{})}

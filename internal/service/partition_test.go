@@ -114,7 +114,7 @@ func TestNoMergeAppendSharesParentPartition(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
 	sg, parent := solvedUnion(t, s, 40, 16)
-	g := sg.Snapshot(0)
+	g := materialize(t, sg, 0)
 	batch := g.Edges()[:32] // repeated edges never merge
 	info, err := s.Append(sg.ID, batch, false)
 	if err != nil {
@@ -165,7 +165,7 @@ func TestMergingAppendForwardsOnePartition(t *testing.T) {
 	if p == parent[0].partition {
 		t.Fatal("a merging batch must not share the parent's partition")
 	}
-	fresh, err := algo.Find("parallel", sg.Snapshot(1), algo.Options{})
+	fresh, err := algo.Find("parallel", materialize(t, sg, 1), algo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestNoMergeForwardAllocationIndependentOfN(t *testing.T) {
 		defer s.Close()
 		sg, _ := solvedUnion(t, s, comps, 64)
 		prev := sg.Latest()
-		batch := sg.Snapshot(0).Edges()[:256]
+		batch := materialize(t, sg, 0).Edges()[:256]
 		info := VersionInfo{
 			Version: 1, Digest: store.ChainDigest(prev.Digest, prev.N, batch),
 			N: prev.N, M: prev.M + len(batch), Appended: len(batch), Components: prev.Components,

@@ -196,18 +196,19 @@ func (s *Service) ApplyReplicated(id string, batch []graph.Edge, want VersionInf
 // lineage digest here; later versions chain from history the primary
 // compacted away, so their integrity rests on the transfer format's own
 // digests (verified by the repl layer) plus every subsequent record
-// chaining correctly.
-func (s *Service) BootstrapReplicated(meta store.Meta, g *graph.Graph, ver VersionInfo) error {
+// chaining correctly. See store.Store.Put for what the store keeps of
+// the snapshot.
+func (s *Service) BootstrapReplicated(meta store.Meta, snap graph.View, ver VersionInfo) error {
 	if err := s.writable(); err != nil {
 		return err
 	}
 	if ver.Version == 0 {
-		if d := store.DigestGraph(g); d != ver.Digest {
+		if d := store.DigestView(snap); d != ver.Digest {
 			return fmt.Errorf("service: bootstrap snapshot %s content digest %.12s does not match lineage digest %.12s", meta.ID, d, ver.Digest)
 		}
 	}
-	if g.N() != ver.N || g.M() != ver.M {
-		return fmt.Errorf("service: bootstrap snapshot %s shape (n=%d m=%d) does not match lineage (n=%d m=%d)", meta.ID, g.N(), g.M(), ver.N, ver.M)
+	if n, m := snap.NumVertices(), snap.NumEdges(); n != ver.N || m != ver.M {
+		return fmt.Errorf("service: bootstrap snapshot %s shape (n=%d m=%d) does not match lineage (n=%d m=%d)", meta.ID, n, m, ver.N, ver.M)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -215,7 +216,7 @@ func (s *Service) BootstrapReplicated(meta store.Meta, g *graph.Graph, ver Versi
 		s.st.Evict(meta.ID)
 		s.handles.Delete(meta.ID)
 	}
-	evicted, err := s.st.Put(meta, g, ver)
+	evicted, err := s.st.Put(meta, snap, ver)
 	if err != nil {
 		s.enterDegraded(fmt.Errorf("store bootstrap %s: %w", meta.ID, err))
 		return fmt.Errorf("%w: %w", ErrDegraded, err)

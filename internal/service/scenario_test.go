@@ -152,10 +152,7 @@ func TestScenarioConcurrentAppendsMatchFullSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := sg.Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
+	final := materialize(t, sg, sg.LatestVersion())
 	wantM := base.M() + 50*12
 	if final.M() != wantM {
 		t.Fatalf("final graph has %d edges, want %d", final.M(), wantM)
@@ -307,10 +304,7 @@ func TestScenarioConcurrentBatchSingleAppend(t *testing.T) {
 	if got := sg.LatestVersion(); got != len(batches) {
 		t.Fatalf("latest version %d, want %d", got, len(batches))
 	}
-	final, err := sg.Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
+	final := materialize(t, sg, sg.LatestVersion())
 	incr, ok, err := s.Lookup(spec)
 	if err != nil || !ok {
 		t.Fatalf("final labeling not available: %v %v", err, ok)

@@ -140,7 +140,7 @@ type Config struct {
 	// DataDir selects the durable storage backend: per-graph WCCM1
 	// snapshot plus an fsync'd edge-batch WAL under this directory,
 	// digest-verified and replayed on Open (see internal/store). Solves
-	// of view-capable algorithms then run straight off the snapshot's
+	// of "parallel" and "dynamic" then run straight off the snapshot's
 	// mapping, so graphs larger than RAM (or GOMEMLIMIT) load and
 	// solve. Empty selects the in-memory backend — nothing survives a
 	// restart.
@@ -294,24 +294,6 @@ type StoredGraph struct {
 	eng *dynamic.Engine
 }
 
-// Graph returns the materialized latest version of the graph (the base
-// snapshot itself while nothing has been appended). The returned graph is
-// immutable and pointer-stable until the next append. The error reports
-// an evicted graph or a storage-engine failure — callers must not treat
-// the two the same as a nil graph (the old signature silently swallowed
-// both).
-func (sg *StoredGraph) Graph() (*graph.Graph, error) {
-	ref, err := sg.resolveVersion(-1)
-	if err != nil {
-		return nil, err
-	}
-	g, err := sg.svc.st.Materialize(sg.ID, ref.info.Version)
-	if err != nil {
-		return nil, fmt.Errorf("service: materialize %s@%d: %w", sg.ID, ref.info.Version, err)
-	}
-	return g, nil
-}
-
 // touch stamps the handle most recently used (service-wide logical
 // clock). One atomic add plus one atomic store — no lock, no store
 // round trip.
@@ -359,54 +341,21 @@ type Counters struct {
 	DegradedEvents    int64
 }
 
-// canonEntry memoizes algo.CanonicalOptions for one registered
-// algorithm: which option fields participate in its cache key, plus a
-// dense registry index that stands in for the name inside labelingKey.
-// The table is built once at Open and read-only afterwards, so hot-path
-// lookups are plain map reads — no registry lock, no canonicalization
-// call, no allocation.
+// canonEntry memoizes algo.ReadsOf for one registered algorithm: which
+// option fields participate in its cache key, plus a dense registry
+// index that stands in for the name inside labelingKey. The table is
+// built once at Open and read-only afterwards, so hot-path lookups are
+// plain map reads — no registry lock, no call into algo, no allocation.
 type canonEntry struct {
-	idx        uint32
-	keepSeed   bool
-	keepLambda bool
-	keepMemory bool
+	idx   uint32
+	reads algo.Reads
 }
 
-// buildCanonTable probes algo.CanonicalOptions with distinctive non-zero
-// options and records which ones survive canonicalization. Deriving the
-// table from the registry (instead of copying its switch) keeps the two
-// in lockstep when algorithms are added — but the memoization is only
-// sound while canonicalization is keep-or-zero per field, so the table
-// is built from two distinct probes and panics at Open if any algorithm
-// ever maps an option to a third value (that algorithm would need a real
-// canonicalization call per key, not a boolean mask).
 func buildCanonTable() map[string]canonEntry {
-	probes := [2]algo.Options{
-		{Lambda: 0.5, Seed: 3, Memory: 7},
-		{Lambda: 0.25, Seed: 11, Memory: 13},
-	}
 	names := algo.Names()
 	tab := make(map[string]canonEntry, len(names))
 	for i, name := range names {
-		var keep [2]canonEntry
-		for j, probe := range probes {
-			c := algo.CanonicalOptions(name, probe)
-			if (c.Seed != probe.Seed && c.Seed != 0) ||
-				(c.Lambda != probe.Lambda && c.Lambda != 0) ||
-				(c.Memory != probe.Memory && c.Memory != 0) {
-				panic(fmt.Sprintf("service: CanonicalOptions(%q) is not keep-or-zero (%+v -> %+v); the memoized key table cannot represent it", name, probe, c))
-			}
-			keep[j] = canonEntry{
-				keepSeed:   c.Seed == probe.Seed,
-				keepLambda: c.Lambda == probe.Lambda,
-				keepMemory: c.Memory == probe.Memory,
-			}
-		}
-		if keep[0] != keep[1] {
-			panic(fmt.Sprintf("service: CanonicalOptions(%q) keeps different fields for different values (%+v vs %+v)", name, keep[0], keep[1]))
-		}
-		keep[0].idx = uint32(i)
-		tab[name] = keep[0]
+		tab[name] = canonEntry{idx: uint32(i), reads: algo.ReadsOf(name)}
 	}
 	return tab
 }
@@ -950,9 +899,6 @@ func (s *Service) dedupe(id, digest string) (*StoredGraph, bool, error) {
 	return sg, true, nil
 }
 
-// digestOf is store.DigestGraph — the content address of a graph.
-func digestOf(g *graph.Graph) string { return store.DigestGraph(g) }
-
 // SolveSpec names one solve: which stored graph (at which version), which
 // algorithm, and the configuration that (with the version digest) keys
 // the labeling cache.
@@ -990,13 +936,13 @@ func (s *Service) cacheKey(digest [sha256Len]byte, spec SolveSpec) (labelingKey,
 		return labelingKey{}, false
 	}
 	k := labelingKey{digest: digest, algo: ce.idx}
-	if ce.keepSeed {
+	if ce.reads&algo.ReadsSeed != 0 {
 		k.seed = spec.Seed
 	}
-	if ce.keepLambda {
+	if ce.reads&algo.ReadsLambda != 0 {
 		k.lambda = spec.Lambda
 	}
-	if ce.keepMemory {
+	if ce.reads&algo.ReadsMemory != 0 {
 		k.memory = spec.Memory
 	}
 	return k, true
@@ -1121,9 +1067,7 @@ func (s *Service) solve(spec SolveSpec) (*Labeling, bool, error) {
 	// Echo the canonical configuration, not the raw request: the labeling
 	// is shared by every equivalent spec (e.g. any seed for a baseline),
 	// so request-specific values would misreport later cache hits.
-	canon := algo.CanonicalOptions(spec.Algo, algo.Options{
-		Lambda: spec.Lambda, Seed: spec.Seed, Memory: spec.Memory,
-	})
+	canon := s.canon[spec.Algo].reads.Canonical(opts)
 	l := &Labeling{
 		GraphID:   sg.ID,
 		Version:   ref.info.Version,
@@ -1173,22 +1117,19 @@ func (s *Service) partitionMismatch(err error) error {
 	return err
 }
 
-// find runs one algorithm on one retained version. Every view-capable
-// algorithm solves over the store's view: on the durable backend that
-// is the snapshot's mapped pages (pinned until release) with appended
-// batches as an overlay, so the adjacency never becomes heap-resident;
-// on the memory backend it is the resident CSR. Only algorithms
-// without a view path materialize.
+// find runs one algorithm on one retained version, over the store's
+// view of it: on the durable backend the snapshot's mapped pages
+// (pinned until release) with appended batches as an overlay, on the
+// memory backend the resident CSR. Algorithms that scan the view in
+// place never make the adjacency heap-resident; the rest materialize
+// it for the length of the solve.
 func (s *Service) find(a algo.Algorithm, sg *StoredGraph, version int, opts algo.Options) (*algo.Result, error) {
-	if va, ok := a.(algo.ViewCapable); ok {
-		if view, release, err := s.st.View(sg.ID, version); err == nil {
-			defer release()
-			return va.FindView(view, opts)
-		}
-	} else if snapshot := sg.Snapshot(version); snapshot != nil {
-		return a.Find(snapshot, opts)
+	view, release, err := s.st.View(sg.ID, version)
+	if err != nil {
+		return nil, fmt.Errorf("service: graph %s version %d no longer retained: %w", sg.ID, version, ErrNotFound)
 	}
-	return nil, fmt.Errorf("service: graph %s version %d no longer retained: %w", sg.ID, version, ErrNotFound)
+	defer release()
+	return a.Find(view, opts)
 }
 
 // errNotSolved marks queries against labelings that are not cached; the

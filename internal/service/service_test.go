@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/store"
 )
 
 // twoComponents is a 10-vertex graph with components {0..5} and {6..9}.
@@ -509,17 +510,17 @@ func TestDigestIsContentAddressed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if digestOf(g1) != digestOf(g2) {
+	if store.DigestGraph(g1) != store.DigestGraph(g2) {
 		t.Fatal("identical graphs must share a digest")
 	}
 	g3, err := gen.Spec{Family: "cycle", N: 13}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if digestOf(g1) == digestOf(g3) {
+	if store.DigestGraph(g1) == store.DigestGraph(g3) {
 		t.Fatal("different graphs must not share a digest")
 	}
-	if fmt.Sprintf("%d", len(digestOf(g1))) != "64" {
-		t.Fatalf("digest length %d, want 64 hex chars", len(digestOf(g1)))
+	if fmt.Sprintf("%d", len(store.DigestGraph(g1))) != "64" {
+		t.Fatalf("digest length %d, want 64 hex chars", len(store.DigestGraph(g1)))
 	}
 }

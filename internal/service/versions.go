@@ -146,18 +146,6 @@ func (sg *StoredGraph) resolveVersion(version int) (versionRef, error) {
 		sg.ID, version, w.refs[0].info.Version, w.refs[len(w.refs)-1].info.Version, ErrNotFound)
 }
 
-// Snapshot materializes the CSR graph of a retained version, or nil if
-// the version is not retained. The latest version's materialization is
-// cached by the storage engine; solving an older retained version
-// rebuilds on demand.
-func (sg *StoredGraph) Snapshot(version int) *graph.Graph {
-	g, err := sg.svc.st.Materialize(sg.ID, version)
-	if err != nil {
-		return nil
-	}
-	return g
-}
-
 // ensureEngineLocked (re)builds the incremental engine from the store's
 // view of the latest version — on the durable backend the snapshot's
 // mapped pages, so seeding never builds (or pins) a heap CSR. Handles

@@ -21,6 +21,17 @@ func loadTwoComponents(t *testing.T, s *Service) *StoredGraph {
 	return sg
 }
 
+// materialize builds the CSR of one retained version through the
+// service's store.
+func materialize(tb testing.TB, sg *StoredGraph, version int) *graph.Graph {
+	tb.Helper()
+	g, err := sg.svc.Store().Materialize(sg.ID, version)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
 func TestAppendBumpsVersionAndChainsDigest(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
@@ -307,34 +318,26 @@ func TestSnapshotMaterializesRetainedVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g0 := sg.Snapshot(0)
+	g0 := materialize(t, sg, 0)
 	if g0.N() != 5 || g0.M() != 3 {
 		t.Fatalf("v0 snapshot: %v", g0)
 	}
-	g1 := sg.Snapshot(1)
+	g1 := materialize(t, sg, 1)
 	if g1.N() != 5 || g1.M() != 4 || !g1.HasEdge(2, 3) {
 		t.Fatalf("v1 snapshot: %v", g1)
 	}
-	g2 := sg.Snapshot(2)
+	g2 := materialize(t, sg, 2)
 	if g2.N() != 7 || g2.M() != 5 || !g2.HasEdge(6, 0) {
 		t.Fatalf("v2 snapshot: %v", g2)
 	}
-	if sg.Snapshot(9) != nil {
-		t.Fatal("unknown version must return nil snapshot")
+	if _, err := s.Store().Materialize(sg.ID, 9); err == nil {
+		t.Fatal("unknown version must not materialize")
 	}
 	if err := g2.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Graph() is the latest materialization, cached across calls.
-	got1, err := sg.Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, err := sg.Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got1 != got2 {
+	// The latest materialization is cached across calls.
+	if materialize(t, sg, 2) != g2 {
 		t.Fatal("latest snapshot not cached")
 	}
 }

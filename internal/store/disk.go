@@ -415,7 +415,7 @@ func (s *Disk) syncDir(dir string) {
 	s.fs.SyncDir(dir)
 }
 
-func (s *Disk) Put(meta Meta, base *graph.Graph, v0 Version) ([]string, error) {
+func (s *Disk) Put(meta Meta, base graph.View, v0 Version) ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -431,13 +431,13 @@ func (s *Disk) Put(meta Meta, base *graph.Graph, v0 Version) ([]string, error) {
 	rec := &record{meta: meta, seq: s.seq, snapVer: v0}
 	s.seq++
 	// Stream the WCCM1 snapshot, then serve off its mapping — the
-	// caller's in-RAM base is not retained.
+	// caller's base is not retained.
 	metaRaw, err := json.Marshal(snapMeta{Meta: meta, Seq: rec.seq, Ver: v0})
 	if err != nil {
 		return nil, err
 	}
 	mpath := filepath.Join(gdir, mapFile)
-	if err := s.writeMappedAtomic(mpath, base, base.N(), nil, metaRaw); err != nil {
+	if err := s.writeMappedAtomic(mpath, base, base.NumVertices(), nil, metaRaw); err != nil {
 		return nil, err
 	}
 	if rec.mapped, err = s.openMapped(mpath); err != nil {

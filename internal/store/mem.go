@@ -20,13 +20,14 @@ func NewMemory(cfg Config) *Memory {
 	return &Memory{cfg: cfg.withDefaults(), t: newTable()}
 }
 
-func (s *Memory) Put(meta Meta, base *graph.Graph, v0 Version) ([]string, error) {
+func (s *Memory) Put(meta Meta, base graph.View, v0 Version) ([]string, error) {
+	snap := graph.MaterializeView(base)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.t.recs[meta.ID]; ok {
 		return nil, fmt.Errorf("store: graph %s already present", meta.ID)
 	}
-	s.t.insert(&record{meta: meta, snap: base, snapVer: v0})
+	s.t.insert(&record{meta: meta, snap: snap, snapVer: v0})
 	var evicted []string
 	for s.cfg.MaxGraphs > 0 && len(s.t.recs) > s.cfg.MaxGraphs {
 		id, ok := s.t.lruVictim()

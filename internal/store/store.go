@@ -108,10 +108,13 @@ func (c Config) withDefaults() Config {
 // eviction, durability, and materialization.
 type Store interface {
 	// Put stores a new graph record: identity, base snapshot, and the
-	// version-0 lineage entry. Storing an existing ID is an error (the
-	// caller dedupes via Get first). It returns the IDs evicted to make
-	// room, so the caller can drop any runtime state keyed on them.
-	Put(meta Meta, base *graph.Graph, v0 Version) (evicted []string, err error)
+	// version-0 lineage entry. The disk backend streams the base into a
+	// WCCM1 snapshot and keeps no reference to it; the memory backend
+	// materializes it, keeping an in-RAM *graph.Graph itself. Neither
+	// modifies it. Storing an existing ID is an error (the caller
+	// dedupes via Get first). It returns the IDs evicted to make room,
+	// so the caller can drop any runtime state keyed on them.
+	Put(meta Meta, base graph.View, v0 Version) (evicted []string, err error)
 	// Get returns a graph's identity and marks it most recently used.
 	Get(id string) (Meta, bool)
 	// List returns every stored graph's identity in first-stored order.

@@ -165,7 +165,7 @@ func Components(g *graph.Graph, opts Options) (*Result, error) {
 	merges, _ := verifyFinish(sim, g, labels)
 	stats.FinishMerges = merges
 	stats.Rounds = sim.Rounds()
-	dense, count := densify(labels)
+	dense, count := graph.Densify(labels)
 	return &Result{Labels: dense, Components: count, Stats: stats}, nil
 }
 
@@ -264,7 +264,7 @@ func verifyFinish(sim *mpc.Sim, g *graph.Graph, labels []graph.Vertex) (merges, 
 		}
 	})
 	if crossing > 0 {
-		dense, parts := densify(labels)
+		dense, parts := graph.Densify(labels)
 		if c, err := graph.Contract(g, dense, parts); err == nil {
 			sim.ChargeSort(g.M())
 			depth := 1
@@ -280,22 +280,6 @@ func verifyFinish(sim *mpc.Sim, g *graph.Graph, labels []graph.Vertex) (merges, 
 		labels[v] = uf.Find(graph.Vertex(v))
 	}
 	return crossing, sim.Rounds() - before
-}
-
-func densify(labels []graph.Vertex) ([]graph.Vertex, int) {
-	remap := make(map[graph.Vertex]graph.Vertex)
-	out := make([]graph.Vertex, len(labels))
-	next := graph.Vertex(0)
-	for v, l := range labels {
-		dl, ok := remap[l]
-		if !ok {
-			dl = next
-			remap[l] = dl
-			next++
-		}
-		out[v] = dl
-	}
-	return out, int(next)
 }
 
 func ceilLog2(n int) int {
