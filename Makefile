@@ -52,7 +52,7 @@ fuzz-smoke:
 # per-crash-point fault logs as an artifact.
 CHAOSFLAGS ?=
 chaos-smoke:
-	$(GO) test $(CHAOSFLAGS) -race -run='^TestCrash|^TestAppendRollback' ./internal/store/
+	$(GO) test $(CHAOSFLAGS) -race -run='^TestCrash|^TestAppendRollback|^TestEvictDuringCompaction' ./internal/store/
 	$(GO) test $(CHAOSFLAGS) -race -run='^TestAdmission|^TestPanic|^TestDegraded|^TestCloseTimeout' ./internal/service/
 	$(GO) test $(CHAOSFLAGS) -race ./internal/fault/ ./internal/retry/
 	$(MAKE) repl-chaos-smoke

@@ -26,7 +26,10 @@ import (
 // stands in for execution order) and counts a call to a same-package
 // helper whose body (transitively) writes or syncs as a write/sync at
 // the call site, so splitting an operation across helpers neither hides
-// a violation nor invents one.
+// a violation nor invents one. Handing a fault.File to any other call —
+// a func value, a function of another package such as an encoder — is
+// counted as a write: the analysis cannot see that code, and a file is
+// passed to it to be written.
 //
 // The cross-package half of the durability contract — engine-visible
 // state must not advance before the store append returns
@@ -195,10 +198,22 @@ func scanWriteSync(pass *Pass, body *ast.BlockStmt, fsIface, fileIface *types.In
 			if cs[fn] {
 				sync = true
 			}
+		} else if handsFile(info, call, fileIface) {
+			write = true
 		}
 		return true
 	})
 	return write, sync
+}
+
+// handsFile reports whether call passes a fault.File as an argument.
+func handsFile(info *types.Info, call *ast.CallExpr, fileIface *types.Interface) bool {
+	for _, arg := range call.Args {
+		if implementsIface(info.TypeOf(arg), fileIface) {
+			return true
+		}
+	}
+	return false
 }
 
 func checkDurabilityFunc(pass *Pass, fd *ast.FuncDecl, fsIface, fileIface *types.Interface, cw, cs map[types.Object]bool) {
@@ -246,6 +261,8 @@ func checkDurabilityFunc(pass *Pass, fd *ast.FuncDecl, fsIface, fileIface *types
 				} else if cs[fn] {
 					unsyncedWrite = false
 				}
+			} else if handsFile(info, call, fileIface) {
+				unsyncedWrite = true
 			}
 			return true
 		}

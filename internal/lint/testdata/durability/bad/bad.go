@@ -54,3 +54,13 @@ func PublishViaHelper(fsys fault.FS, f fault.File, tmp, final string) error {
 	}
 	return fsys.Rename(tmp, final) // want `Rename publishes a file written earlier in this function without an intervening Sync`
 }
+
+// PublishViaFuncValue hands the file to code the analysis cannot see
+// (a func value here, an encoder of another package alike): that counts
+// as a write, which the rename then publishes unsynced.
+func PublishViaFuncValue(fsys fault.FS, f fault.File, write func(fault.File) error, tmp, final string) error {
+	if err := write(f); err != nil {
+		return err
+	}
+	return fsys.Rename(tmp, final) // want `Rename publishes a file written earlier in this function without an intervening Sync`
+}

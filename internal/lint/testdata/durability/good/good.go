@@ -57,3 +57,15 @@ func PublishViaHelper(fsys fault.FS, f fault.File, tmp, final string) error {
 func RenameOnly(fsys fault.FS, from, to string) error {
 	return fsys.Rename(from, to)
 }
+
+// PublishViaFuncValue syncs after handing the file to a writer it
+// cannot see into.
+func PublishViaFuncValue(fsys fault.FS, f fault.File, write func(fault.File) error, tmp, final string) error {
+	if err := write(f); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	return fsys.Rename(tmp, final)
+}

@@ -34,17 +34,23 @@ func realAlgos() []string {
 
 // TestOutOfCoreSolveMatchesInRAM is the service-level bit-equality
 // contract between the backends: the durable one solves off the
-// snapshot mapping (an Overlay of it after appends), the memory one
-// off the resident CSR, and every registered algorithm must produce the
-// identical labeling on both — same labels, sizes, histogram, rounds
-// and peak edges — for the base version and for a post-append version.
+// snapshot mapping, the memory one off the resident CSR (an Overlay of
+// either after appends), and every registered algorithm must produce
+// the identical labeling on both — same labels, sizes, histogram,
+// rounds and peak edges — for the base version and for a post-append
+// version. A third side keeps a CSR in the comparison: each algorithm
+// run directly on the post-append version rebuilt with graph.FromEdges
+// must match its run on either backend's view of that version, and the
+// service's labeling of it.
 func TestOutOfCoreSolveMatchesInRAM(t *testing.T) {
 	spec := gen.Spec{Family: "union", Sizes: []int{40, 30, 20, 12}, D: 4, Seed: 5}
 	batch := []graph.Edge{{U: 0, V: 50}, {U: 70, V: 101}, {U: 2, V: 2}}
+	opts := algo.Options{Seed: 4, Lambda: 0.3}
 	names := realAlgos()
 	mem := New(Config{JobWorkers: 1})
 	t.Cleanup(mem.Close)
 	var got [2][]*Labeling
+	var onView [2][]*algo.Result
 	var wantTip int
 	for i, s := range []*Service{newDurableService(t), mem} {
 		sg, err := s.Generate("u", spec)
@@ -58,7 +64,7 @@ func TestOutOfCoreSolveMatchesInRAM(t *testing.T) {
 		// fast-forward of the version-0 labeling instead of a solve.
 		for _, name := range names {
 			for _, version := range []int{-1, 0} {
-				l, err := s.Solve(SolveSpec{GraphID: sg.ID, Version: version, Algo: name, Seed: 4, Lambda: 0.3})
+				l, err := s.Solve(SolveSpec{GraphID: sg.ID, Version: version, Algo: name, Seed: opts.Seed, Lambda: opts.Lambda})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -70,6 +76,18 @@ func TestOutOfCoreSolveMatchesInRAM(t *testing.T) {
 		}
 		tip := materialize(t, sg, sg.LatestVersion())
 		_, wantTip = graph.Components(tip)
+		view, release, err := s.Store().View(sg.ID, sg.LatestVersion())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			res, err := algo.Find(name, view, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			onView[i] = append(onView[i], res)
+		}
+		release()
 	}
 	for k, durable := range got[0] {
 		mem := got[1][k]
@@ -87,6 +105,37 @@ func TestOutOfCoreSolveMatchesInRAM(t *testing.T) {
 	}
 	if tip := got[0][0]; tip.Components != wantTip {
 		t.Fatalf("appended version solved to %d components, BFS finds %d", tip.Components, wantTip)
+	}
+
+	base, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := base.N()
+	for _, e := range batch {
+		n = max(n, int(e.U)+1, int(e.V)+1)
+	}
+	csr := graph.FromEdges(n, append(base.Edges(), batch...))
+	backends := [2]string{"durable", "memory"}
+	for k, name := range names {
+		want, err := algo.Find(name, csr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, backend := range backends {
+			if res := onView[i][k]; !slices.Equal(res.Labels, want.Labels) || res.Components != want.Components ||
+				res.Rounds != want.Rounds || res.PeakEdges != want.PeakEdges {
+				t.Fatalf("%s on the %s backend's tip view: %d components, %d rounds, %d peak edges; on the CSR: %d, %d, %d (labels equal: %v)",
+					name, backend, res.Components, res.Rounds, res.PeakEdges, want.Components, want.Rounds, want.PeakEdges,
+					slices.Equal(res.Labels, want.Labels))
+			}
+			// The service keeps one partition per version, so its labels
+			// are compared up to renaming.
+			if l := got[i][2*k]; l.Components != want.Components || l.Rounds != want.Rounds || l.PeakEdges != want.PeakEdges ||
+				!slices.Equal(algo.CanonicalForm(l.labels), algo.CanonicalForm(want.Labels)) {
+				t.Fatalf("%s@%d on the %s service differs from its run on the CSR tip", name, l.Version, backend)
+			}
+		}
 	}
 }
 

@@ -1118,11 +1118,11 @@ func (s *Service) partitionMismatch(err error) error {
 }
 
 // find runs one algorithm on one retained version, over the store's
-// view of it: on the durable backend the snapshot's mapped pages
-// (pinned until release) with appended batches as an overlay, on the
-// memory backend the resident CSR. Algorithms that scan the view in
-// place never make the adjacency heap-resident; the rest materialize
-// it for the length of the solve.
+// view of it: the snapshot — the mapped pages on the durable backend
+// (pinned until release), the resident CSR on the memory backend —
+// with the batches appended since it layered as an overlay. Algorithms
+// that scan the view in place never build a CSR of it; the rest
+// materialize it for the length of the solve.
 func (s *Service) find(a algo.Algorithm, sg *StoredGraph, version int, opts algo.Options) (*algo.Result, error) {
 	view, release, err := s.st.View(sg.ID, version)
 	if err != nil {

@@ -2,8 +2,10 @@ package store
 
 import (
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -122,7 +124,7 @@ func TestCompactionSyncFailureKeepsWAL(t *testing.T) {
 	}
 	digests := make(map[int]string)
 	for _, v := range vers {
-		g, err := s.Materialize(m.ID, v.Version)
+		g, err := materialize(s, m.ID, v.Version)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +146,7 @@ func TestCompactionSyncFailureKeepsWAL(t *testing.T) {
 	}
 	checkRetention(t, "reopened", s, m.ID, vers)
 	for _, v := range vers {
-		g, err := s.Materialize(m.ID, v.Version)
+		g, err := materialize(s, m.ID, v.Version)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,5 +190,114 @@ func TestCompactionCadence(t *testing.T) {
 	rebases := reg.Hits()["rename:"+mapFile] - afterPut
 	if rebases < 1 || rebases > 5 {
 		t.Fatalf("%d appends at RetainVersions=%d rebased the snapshot %d times, want 1..5 (one per W appends)", 5*w, w, rebases)
+	}
+}
+
+// mapOrder is a fault.FS that numbers every mapping in the order it is
+// made (1, 2, ...) and records the numbers in the order they are
+// unmapped, so a test can tell which of several snapshot.map mappings
+// went away and when.
+type mapOrder struct {
+	fault.FS
+	mu       sync.Mutex
+	made     int
+	unmapped []int
+}
+
+type orderedMapping struct {
+	fault.Mapping
+	o  *mapOrder
+	id int
+}
+
+func (o *mapOrder) Map(path string) (fault.Mapping, error) {
+	m, err := o.FS.Map(path)
+	if err != nil {
+		return nil, err
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.made++
+	return &orderedMapping{Mapping: m, o: o, id: o.made}, nil
+}
+
+func (m *orderedMapping) Unmap() error {
+	m.o.mu.Lock()
+	m.o.unmapped = append(m.o.unmapped, m.id)
+	m.o.mu.Unlock()
+	return m.Mapping.Unmap()
+}
+
+func (o *mapOrder) unmaps() []int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return slices.Clone(o.unmapped)
+}
+
+// TestEvictDuringCompaction pins record's lock rule where eviction and
+// a background compaction meet. The compaction is stalled at its WAL
+// rename while the graph is evicted, with a view of the tip pinned on
+// the old mapping from before. The eviction's directory removal is made
+// to fail, so the compaction gets past the rename and reaches its swap
+// with the record already gone. Then the pinned view must still read
+// the same graph, its mapping must outlive everything but the view's
+// own release, and after Close and the release every mapping and every
+// wal.log handle must have been released exactly once: the eviction
+// drops the old WAL and mapping, the compaction its orphaned new ones.
+func TestEvictDuringCompaction(t *testing.T) {
+	const w = 2
+	reg := fault.NewRegistry(1)
+	order := &mapOrder{FS: fault.OS{}}
+	s := openDisk(t, t.TempDir(), Config{RetainVersions: w, FS: fault.Inject(order, reg)})
+	m := putGraph(t, s, 8)
+	for i := 0; i < 2*w-1; i++ {
+		appendBatch(t, s, m.ID, []graph.Edge{{U: graph.Vertex(i), V: graph.Vertex(i + 2)}})
+	}
+	vers, err := s.Versions(m.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, release, err := s.View(m.ID, vers[len(vers)-1].Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := DigestView(view)
+
+	// The stall (500ms by default) is the window the eviction lands in.
+	reg.Add(fault.Rule{Site: "rename:" + walFile, Hit: 1, Kind: fault.KindStall})
+	reg.Add(fault.Rule{Site: "removeall:" + m.ID, Kind: fault.KindErr})
+	// The 2w-th append queues the compaction on the background worker.
+	appendBatch(t, s, m.ID, []graph.Edge{{U: 5, V: 7}})
+	for deadline := time.Now().Add(10 * time.Second); reg.Hits()["rename:"+walFile] == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the compaction never reached its WAL rename")
+		}
+	}
+	if !s.Evict(m.ID) {
+		t.Fatal("evict reported absent")
+	}
+	// Close waits for the stalled compaction to finish.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if hits := reg.Hits(); hits["map:"+mapFile] != 2 || hits["open:"+walFile] != 2 {
+		t.Fatalf("compaction did not reach its swap: %d snapshot maps, %d WAL reopens, want 2 and 2",
+			hits["map:"+mapFile], hits["open:"+walFile])
+	}
+	// Mapping 1 is Put's, the one the view pins.
+	if slices.Contains(order.unmaps(), 1) {
+		t.Fatalf("the pinned mapping was unmapped before the view's release (unmap order %v)", order.unmaps())
+	}
+	if got := DigestView(view); got != want {
+		t.Fatalf("pinned view digests %s after the eviction, want %s", got[:12], want[:12])
+	}
+	release()
+
+	hits := reg.Hits()
+	if maps, unmaps := hits["map:"+mapFile], hits["unmap:"+mapFile]; maps != unmaps {
+		t.Fatalf("%d snapshot mappings, %d unmaps (unmap order %v)", maps, unmaps, order.unmaps())
+	}
+	if opens, closes := hits["create:"+walFile]+hits["open:"+walFile], hits["close:"+walFile]; opens != closes {
+		t.Fatalf("%d %s opens, %d closes", opens, walFile, closes)
 	}
 }

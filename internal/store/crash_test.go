@@ -156,7 +156,7 @@ func verifyRecovery(t *testing.T, dir, label string, putOK bool, acked int) {
 			t.Fatalf("%s: recovered version %d = %+v, reference lineage says %+v", label, v.Version, v, lineage[v.Version])
 		}
 	}
-	g, err := s.Materialize(id, latest.Version)
+	g, err := materialize(s, id, latest.Version)
 	if err != nil {
 		t.Fatalf("%s: materialize recovered version %d: %v", label, latest.Version, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -71,23 +72,15 @@ type snapMeta struct {
 // of batches retired from the retained version window, folds them into
 // a fresh snapshot — one snapshot rewrite per RetainVersions appends.
 type Disk struct {
+	records
 	dir string
-	cfg Config
 	// fs is the filesystem seam every durable operation goes through
 	// (Config.FS; the real OS by default). Chaos tests and wccserve
 	// -fault-spec swap in a fault-injected one — the failure model in
 	// README.md is proven against the sites this seam names.
 	fs fault.FS
 
-	mu   sync.Mutex
-	t    *table
-	wals map[string]*walState
-	// maps holds the store's own reference on each mapped record's
-	// snapshot mapping, mirroring wals: eviction and Close release
-	// through here (under s.mu), compaction swaps here, and in-flight
-	// views keep their own references — the refcount, not this table,
-	// decides when the pages actually unmap.
-	maps   map[string]*mappedHandle
+	// seq and closed are guarded by records.mu.
 	seq    int64
 	closed bool
 
@@ -102,17 +95,13 @@ type Disk struct {
 // mismatch is a hard error — the store refuses to serve state it
 // cannot vouch for.
 func Open(dir string, cfg Config) (*Disk, error) {
-	cfg = cfg.withDefaults()
 	s := &Disk{
+		records:   newRecords(cfg),
 		dir:       dir,
-		cfg:       cfg,
-		fs:        cfg.FS,
-		t:         newTable(),
-		wals:      make(map[string]*walState),
-		maps:      make(map[string]*mappedHandle),
 		compactCh: make(chan string, 64),
 		done:      make(chan struct{}),
 	}
+	s.fs = s.cfg.FS
 	if err := s.fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -125,7 +114,7 @@ func Open(dir string, cfg Config) (*Disk, error) {
 		if !ent.IsDir() {
 			continue
 		}
-		rec, wal, err := s.load(ent.Name())
+		rec, err := s.load(ent.Name())
 		if err != nil {
 			if errors.Is(err, os.ErrNotExist) {
 				// A crash between graph-directory creation and the
@@ -139,8 +128,6 @@ func Open(dir string, cfg Config) (*Disk, error) {
 			return nil, fmt.Errorf("store: graph %s: %w", ent.Name(), err)
 		}
 		recs = append(recs, rec)
-		s.wals[rec.meta.ID] = wal
-		s.maps[rec.meta.ID] = rec.mapped
 		if rec.seq >= s.seq {
 			s.seq = rec.seq + 1
 		}
@@ -167,23 +154,22 @@ func Open(dir string, cfg Config) (*Disk, error) {
 // holds a legacy snapshot.bin: that graph was acknowledged by an
 // earlier store version, so load refuses it instead of letting Open
 // sweep acknowledged data.
-func (s *Disk) load(id string) (*record, *walState, error) {
+func (s *Disk) load(id string) (*record, error) {
 	gdir := filepath.Join(s.dir, id)
 	rec, err := s.loadMappedSnapshot(gdir, id)
 	if errors.Is(err, os.ErrNotExist) {
 		if lerr := s.refuseLegacy(gdir); lerr != nil {
-			return nil, nil, lerr
+			return nil, lerr
 		}
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	wal, err := s.replayWAL(gdir, rec)
-	if err != nil {
+	if rec.wal, err = s.replayWAL(gdir, rec); err != nil {
 		rec.mapped.release()
-		return nil, nil, err
+		return nil, err
 	}
-	return rec, wal, nil
+	return rec, nil
 }
 
 // refuseLegacy returns an error if gdir holds a WCCB1 snapshot.bin.
@@ -253,26 +239,25 @@ func (s *Disk) openMapped(path string) (*mappedHandle, error) {
 	return newMappedHandle(m, mg), nil
 }
 
-// writeMappedAtomic streams base ∪ delta as a WCCM1 file via temp file
-// + fsync + rename — writeFileAtomic's contract without ever holding
-// the encoded snapshot (or the graph) in memory.
-func (s *Disk) writeMappedAtomic(path string, base graph.View, n int, delta []graph.Edge, meta []byte) error {
+// writeAtomic replaces path with what write puts in a temp file, via
+// fsync + rename, so the file is never torn. A snapshot is streamed
+// through write, so it is never held encoded (or as a graph) in memory.
+// The leftover .tmp of a failed attempt is removed best-effort — load
+// never reads it, so a crash between write and cleanup costs only disk.
+func (s *Disk) writeAtomic(path string, write func(w io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := s.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if err := graph.WriteMappedView(f, base, n, delta, meta); err != nil {
-		f.Close()
-		s.fs.Remove(tmp)
-		return err
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		s.fs.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		s.fs.Remove(tmp)
 		return err
 	}
@@ -382,32 +367,6 @@ func appendBlock(dst, block []byte) []byte {
 	return append(dst, block...)
 }
 
-// writeFileAtomic writes data to path via a temp file + fsync + rename.
-// The leftover .tmp of a failed attempt is removed best-effort — load
-// never reads it, so a crash between write and cleanup costs only disk.
-func (s *Disk) writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := s.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		s.fs.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		s.fs.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		s.fs.Remove(tmp)
-		return err
-	}
-	return s.fs.Rename(tmp, path)
-}
-
 // syncDir flushes directory metadata (renames, creates); best-effort on
 // platforms where directories cannot be fsync'd. Compaction's sync
 // between its two renames is the exception: it checks the error.
@@ -437,7 +396,9 @@ func (s *Disk) Put(meta Meta, base graph.View, v0 Version) ([]string, error) {
 		return nil, err
 	}
 	mpath := filepath.Join(gdir, mapFile)
-	if err := s.writeMappedAtomic(mpath, base, base.NumVertices(), nil, metaRaw); err != nil {
+	if err := s.writeAtomic(mpath, func(w io.Writer) error {
+		return graph.WriteMappedView(w, base, base.NumVertices(), nil, metaRaw)
+	}); err != nil {
 		return nil, err
 	}
 	if rec.mapped, err = s.openMapped(mpath); err != nil {
@@ -458,54 +419,13 @@ func (s *Disk) Put(meta Meta, base graph.View, v0 Version) ([]string, error) {
 	if err != nil {
 		return fail(err)
 	}
-	s.t.insert(rec)
-	s.wals[meta.ID] = &walState{f: wal, size: int64(len(walMagic))}
-	s.maps[meta.ID] = rec.mapped
+	rec.wal = &walState{f: wal, size: int64(len(walMagic))}
 	var evicted []string
-	for s.cfg.MaxGraphs > 0 && len(s.t.recs) > s.cfg.MaxGraphs {
-		id, ok := s.t.lruVictim()
-		if !ok {
-			break
-		}
-		s.evictLocked(id)
-		evicted = append(evicted, id)
+	for _, r := range s.insertLocked(rec) {
+		s.dropLocked(r)
+		evicted = append(evicted, r.meta.ID)
 	}
 	return evicted, nil
-}
-
-func (s *Disk) Get(id string) (Meta, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.t.recs[id]
-	if !ok {
-		return Meta{}, false
-	}
-	s.t.touch(r)
-	return r.meta, true
-}
-
-func (s *Disk) List() []Meta {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.t.list()
-}
-
-func (s *Disk) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.t.recs)
-}
-
-// rec looks a record up and bumps recency.
-func (s *Disk) rec(id string) (*record, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.t.recs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: graph %s", ErrNotFound, id)
-	}
-	s.t.touch(r)
-	return r, nil
 }
 
 func (s *Disk) Append(id string, batch []graph.Edge, v Version) error {
@@ -517,30 +437,24 @@ func (s *Disk) Append(id string, batch []graph.Edge, v Version) error {
 	if err != nil {
 		return err
 	}
-	// The WAL state is re-read under the record lock: a concurrent
-	// compaction swaps it (and closes the old handle) while holding r.mu,
-	// so ws's fields are stable for the rest of this critical section.
+	// r.wal is read under the record lock alone: a compaction swaps it
+	// holding r.mu too, so ws's fields are stable for the rest of this
+	// critical section (see record's lock rule).
 	r.mu.Lock()
-	s.mu.Lock()
-	ws := s.wals[id]
-	s.mu.Unlock()
-	if ws == nil {
-		r.mu.Unlock()
-		return fmt.Errorf("%w: graph %s", ErrNotFound, id)
-	}
+	ws := r.wal
 	if ws.dirty {
 		r.mu.Unlock()
 		return fmt.Errorf("store: wal for %s in unknown state after a failed rollback; reopen the store to re-verify it", id)
 	}
 	if _, err := ws.f.Write(data); err != nil {
-		s.rollbackWAL(id, ws)
+		err = s.appendFailed(id, r, fmt.Errorf("store: wal append: %w", err))
 		r.mu.Unlock()
-		return fmt.Errorf("store: wal append: %w", err)
+		return err
 	}
 	if err := ws.f.Sync(); err != nil {
-		s.rollbackWAL(id, ws)
+		err = s.appendFailed(id, r, fmt.Errorf("store: wal fsync: %w", err))
 		r.mu.Unlock()
-		return fmt.Errorf("store: wal fsync: %w", err)
+		return err
 	}
 	ws.size += int64(len(data))
 	r.appendLocked(batch, v)
@@ -549,21 +463,33 @@ func (s *Disk) Append(id string, batch []graph.Edge, v Version) error {
 	return nil
 }
 
-// rollbackWAL restores the WAL to its last verified length after a
-// failed append, so the caller may retry: without the truncate, the
-// retried record would land behind the torn bytes of the failed one,
-// and replay would cut both away — silently losing a write the retry
-// acknowledged. The handle is O_APPEND, so after the truncate the next
-// write lands at the restored end; no reopen is needed. If the rollback
-// itself fails, the WAL tail is unknown and the state is marked dirty:
-// every further append is refused until a store reopen re-verifies the
-// file record by record. Callers hold r.mu.
-func (s *Disk) rollbackWAL(id string, ws *walState) {
-	path := filepath.Join(s.dir, id, walFile)
-	if err := s.fs.Truncate(path, ws.size); err != nil {
-		ws.dirty = true
-		log.Printf("store: wal rollback for %s to %d bytes failed: %v (appends disabled until reopen)", id, ws.size, err)
+// appendFailed handles a failed WAL write or fsync. If the record was
+// evicted (or the store closed) meanwhile, the handle was closed under
+// the append: the graph is gone, which is ErrNotFound, not a storage
+// failure, and there is nothing to roll back. Otherwise the WAL is
+// restored to its last verified length, so the caller may retry:
+// without the truncate, the retried record would land behind the torn
+// bytes of the failed one, and replay would cut both away — silently
+// losing a write the retry acknowledged. The handle is O_APPEND, so
+// after the truncate the next write lands at the restored end; no
+// reopen is needed. If the rollback itself fails, the WAL tail is
+// unknown and the state is marked dirty: every further append is
+// refused until a store reopen re-verifies the file record by record.
+// Callers hold r.mu.
+func (s *Disk) appendFailed(id string, r *record, err error) error {
+	s.mu.Lock()
+	gone := s.t.recs[id] != r
+	s.mu.Unlock()
+	if gone {
+		return fmt.Errorf("%w: graph %s evicted during append", ErrNotFound, id)
 	}
+	ws := r.wal
+	path := filepath.Join(s.dir, id, walFile)
+	if terr := s.fs.Truncate(path, ws.size); terr != nil {
+		ws.dirty = true
+		log.Printf("store: wal rollback for %s to %d bytes failed: %v (appends disabled until reopen)", id, ws.size, terr)
+	}
+	return err
 }
 
 // maybeCompact schedules (or, with SyncCompaction, runs) a compaction
@@ -625,7 +551,6 @@ func (s *Disk) compactor() {
 func (s *Disk) compact(id string) error {
 	s.mu.Lock()
 	r, ok := s.t.recs[id]
-	ws := s.wals[id]
 	s.mu.Unlock()
 	if !ok {
 		return nil // evicted while queued
@@ -658,7 +583,9 @@ func (s *Disk) compact(id string) error {
 		return fmt.Errorf("encode snapshot meta: %w", err)
 	}
 	mpath := filepath.Join(gdir, mapFile)
-	if err := s.writeMappedAtomic(mpath, base, target.N, r.appended[:targetOff], metaRaw); err != nil {
+	if err := s.writeAtomic(mpath, func(w io.Writer) error {
+		return graph.WriteMappedView(w, base, target.N, r.appended[:targetOff], metaRaw)
+	}); err != nil {
 		return fmt.Errorf("write snapshot: %w", err)
 	}
 	// The snapshot rename must be durable before the WAL rename: a power
@@ -695,7 +622,10 @@ func (s *Disk) compact(id string) error {
 		}
 		prevOff = b.off
 	}
-	if err := s.writeFileAtomic(filepath.Join(gdir, walFile), walData); err != nil {
+	if err := s.writeAtomic(filepath.Join(gdir, walFile), func(w io.Writer) error {
+		_, err := w.Write(walData)
+		return err
+	}); err != nil {
 		return fail(fmt.Errorf("write wal: %w", err))
 	}
 	s.syncDir(gdir)
@@ -703,111 +633,52 @@ func (s *Disk) compact(id string) error {
 	if err != nil {
 		return fail(fmt.Errorf("reopen wal: %w", err))
 	}
-	// Swap in-memory state. The old appended array stays untouched so
-	// Delta slices handed out before the compaction remain valid, and
+	// Swap in-memory state, the WAL handle and the mapping under both
+	// locks (record's lock rule). The old appended array stays untouched
+	// so Delta slices handed out before the compaction remain valid, and
 	// the old mapping is only unmapped once every view pinned on it has
-	// released — the store reference moves under s.mu below.
-	oldHandle := r.mapped
+	// released.
+	s.mu.Lock()
+	if s.t.recs[id] != r {
+		s.mu.Unlock()
+		// Evicted mid-compaction (or the store closed): that already
+		// closed the old WAL and released the record's reference on the
+		// old mapping; the fresh WAL handle and mapping are orphans.
+		newWal.Close()
+		newHandle.release()
+		return nil
+	}
+	oldWal, oldHandle := r.wal, r.mapped
+	r.wal = &walState{f: newWal, size: int64(len(walData))}
 	r.mapped = newHandle
+	s.mu.Unlock()
+	oldWal.f.Close()
+	oldHandle.release()
 	r.snapVer = target
 	r.appended = append([]graph.Edge(nil), r.appended[targetOff:]...)
 	r.batches = kept
-	s.mu.Lock()
-	if s.wals[id] == ws {
-		s.wals[id] = &walState{f: newWal, size: int64(len(walData))}
-		ws.f.Close()
-	} else {
-		newWal.Close() // record was evicted/replaced mid-compaction
-	}
-	if s.t.recs[id] == r {
-		oldHandle.release() // the store reference moves off the old mapping
-		s.maps[id] = newHandle
-	} else {
-		// Evicted mid-compaction: the eviction already released the old
-		// store reference; the fresh mapping is an orphan.
-		newHandle.release()
-	}
-	s.mu.Unlock()
 	return nil
-}
-
-func (s *Disk) Versions(id string) ([]Version, error) {
-	r, err := s.rec(id)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.window(s.cfg.RetainVersions), nil
-}
-
-func (s *Disk) Delta(id string, from, to int) ([]graph.Edge, error) {
-	r, err := s.rec(id)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.deltaLocked(from, to, s.cfg.RetainVersions)
-}
-
-func (s *Disk) Tail(id string, from int) ([]BatchRecord, error) {
-	r, err := s.rec(id)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tailLocked(from, s.cfg.RetainVersions)
-}
-
-func (s *Disk) Materialize(id string, version int) (*graph.Graph, error) {
-	r, err := s.rec(id)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.materializeLocked(version, s.cfg.RetainVersions)
-}
-
-func (s *Disk) View(id string, version int) (graph.View, func(), error) {
-	r, err := s.rec(id)
-	if err != nil {
-		return nil, nil, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.viewLocked(version, s.cfg.RetainVersions)
 }
 
 func (s *Disk) Evict(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.t.recs[id]
-	if !ok {
-		return false
+	r, ok := s.t.remove(id)
+	if ok {
+		s.dropLocked(r)
 	}
-	s.evictLocked(id)
-	return true
+	return ok
 }
 
-// evictLocked removes the record, closes its WAL, releases the store's
-// reference on its mapping (in-flight views keep theirs; the pages
-// unmap at the last release), and deletes its directory — unlinking a
-// still-mapped file is safe, the mapping holds the pages. Callers hold
-// s.mu.
-func (s *Disk) evictLocked(id string) {
-	s.t.remove(id)
-	if ws, ok := s.wals[id]; ok {
-		ws.f.Close()
-		delete(s.wals, id)
-	}
-	if h, ok := s.maps[id]; ok {
-		h.release()
-		delete(s.maps, id)
-	}
-	s.fs.RemoveAll(filepath.Join(s.dir, id))
+// dropLocked finishes evicting a record already removed from the table:
+// it closes the WAL, releases the store's reference on the mapping
+// (in-flight views keep theirs; the pages unmap at the last release),
+// and deletes the directory — unlinking a still-mapped file is safe,
+// the mapping holds the pages. Callers hold s.mu.
+func (s *Disk) dropLocked(r *record) {
+	r.wal.f.Close()
+	r.mapped.release()
+	s.fs.RemoveAll(filepath.Join(s.dir, r.meta.ID))
 }
 
 // Probe checks whether the backing filesystem accepts durable writes
@@ -845,8 +716,10 @@ func (s *Disk) Probe() error {
 	return nil
 }
 
-// Close stops the compaction worker and closes every WAL handle. All
-// acknowledged appends are already fsync'd, so Close loses nothing.
+// Close stops the compaction worker, closes every WAL handle, releases
+// the store's reference on every mapping, and drops every record: a
+// closed store holds no graphs. All acknowledged appends are already
+// fsync'd, so Close loses nothing.
 func (s *Disk) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -860,15 +733,12 @@ func (s *Disk) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var firstErr error
-	for id, ws := range s.wals {
-		if err := ws.f.Close(); err != nil && firstErr == nil {
+	for _, r := range s.t.recs {
+		if err := r.wal.f.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		delete(s.wals, id)
+		r.mapped.release()
 	}
-	for id, h := range s.maps {
-		h.release()
-		delete(s.maps, id)
-	}
+	s.t = newTable()
 	return firstErr
 }

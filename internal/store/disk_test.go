@@ -34,7 +34,7 @@ func TestDiskReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantGraph, err := s.Materialize(a.ID, 2)
+	wantGraph, err := materialize(s, a.ID, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestDiskReopen(t *testing.T) {
 			t.Errorf("version[%d] = %+v, want %+v", i, gotVers[i], wantVers[i])
 		}
 	}
-	gotGraph, err := s2.Materialize(a.ID, 2)
+	gotGraph, err := materialize(s2, a.ID, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestDiskCompactionPersists(t *testing.T) {
 			t.Errorf("window[%d] = %+v, want %+v", i, gotVers[i], wantVers[i])
 		}
 	}
-	g, err := s2.Materialize(m.ID, 6)
+	g, err := materialize(s2, m.ID, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("opened store cannot list versions: %v", err)
 		}
 		// Whatever prefix survived must materialize cleanly.
-		g, err := st.Materialize(meta.ID, vers[len(vers)-1].Version)
+		g, err := materialize(st, meta.ID, vers[len(vers)-1].Version)
 		if err != nil {
 			t.Fatalf("materialize recovered tip: %v", err)
 		}

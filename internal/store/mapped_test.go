@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -38,7 +39,7 @@ func TestDiskMappedSnapshotLifecycle(t *testing.T) {
 	if !rawExists(t, filepath.Join(gdir, mapFile)) {
 		t.Fatal("Put did not write snapshot.map")
 	}
-	want, err := s.Materialize(m.ID, 0)
+	want, err := materialize(s, m.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestDiskMappedSnapshotLifecycle(t *testing.T) {
 	s.Close()
 
 	s = openMappedDisk(t, dir)
-	g, err := s.Materialize(m.ID, 0)
+	g, err := materialize(s, m.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestDiskMappedSnapshotLifecycle(t *testing.T) {
 	if vers[0].Version == 0 {
 		t.Fatal("compaction never rebased the mapped snapshot")
 	}
-	tip, err := s.Materialize(m.ID, vers[len(vers)-1].Version)
+	tip, err := materialize(s, m.ID, vers[len(vers)-1].Version)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestDiskMappedSnapshotLifecycle(t *testing.T) {
 	s.Close()
 
 	s = openMappedDisk(t, dir)
-	tip2, err := s.Materialize(m.ID, vers[len(vers)-1].Version)
+	tip2, err := materialize(s, m.ID, vers[len(vers)-1].Version)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,51 +136,122 @@ func TestDiskViewOutlivesEviction(t *testing.T) {
 	}
 }
 
-// TestStoreViewMatchesMaterialize runs on every backend and residency: for each
-// retained version, the View (snapshot view or overlay) must describe
-// exactly the graph Materialize builds — same digest, same counts.
+// TestStoreViewMatchesMaterialize runs on every backend and residency:
+// for each retained version, the View (the snapshot itself or an
+// overlay on it) must describe exactly the graph the test builds on its
+// own with graph.NewBuilder from the base edges and every batch
+// appended up to that version — same digest, same counts. Two of the
+// batches grow the vertex set, one before and one after the compaction
+// at the sixth append, and every retained version is checked after
+// each append, after that compaction and after a reopen.
 func TestStoreViewMatchesMaterialize(t *testing.T) {
-	backends := map[string]func(t *testing.T) Store{
-		"memory": func(t *testing.T) Store {
-			s := NewMemory(Config{RetainVersions: 4})
+	const retain = 3
+	backends := map[string]struct {
+		open   func(t *testing.T) Store
+		reopen func(t *testing.T, s Store) Store
+	}{
+		"memory": {func(t *testing.T) Store {
+			s := NewMemory(Config{RetainVersions: retain})
 			t.Cleanup(func() { s.Close() })
 			return s
-		},
-		"disk-mapped": func(t *testing.T) Store {
-			return openDiskCleanup(t, t.TempDir(), Config{RetainVersions: 4, SyncCompaction: true})
-		},
-		"disk-pread": func(t *testing.T) Store {
-			return openDiskCleanup(t, t.TempDir(), Config{RetainVersions: 4, SyncCompaction: true, FS: fault.OS{NoMmap: true}})
-		},
+		}, func(t *testing.T, s Store) Store { return s }},
+		"disk-mapped": {func(t *testing.T) Store {
+			return openDiskCleanup(t, t.TempDir(), Config{RetainVersions: retain, SyncCompaction: true})
+		}, reopenDisk},
+		"disk-pread": {func(t *testing.T) Store {
+			return openDiskCleanup(t, t.TempDir(), Config{RetainVersions: retain, SyncCompaction: true, FS: fault.OS{NoMmap: true}})
+		}, reopenDisk},
 	}
-	for name, open := range backends {
+	// Each batch with the vertex count of the version it makes.
+	batches := []struct {
+		n     int
+		edges []graph.Edge
+	}{
+		{10, []graph.Edge{{U: 0, V: 5}}},
+		{10, []graph.Edge{{U: 2, V: 7}, {U: 3, V: 3}}},
+		{12, []graph.Edge{{U: 10, V: 4}, {U: 11, V: 11}}},
+		{12, []graph.Edge{{U: 1, V: 11}}},
+		{12, []graph.Edge{{U: 6, V: 9}, {U: 0, V: 5}}},
+		{12, []graph.Edge{{U: 11, V: 0}}},
+		{14, []graph.Edge{{U: 13, V: 2}}},
+	}
+	// want builds version v from scratch: the base path plus batches
+	// 1..v, on version v's vertex count.
+	want := func(v int) *graph.Graph {
+		n := 10
+		if v > 0 {
+			n = batches[v-1].n
+		}
+		b := graph.NewBuilder(n)
+		for i := 0; i < 9; i++ {
+			b.AddEdge(graph.Vertex(i), graph.Vertex(i+1))
+		}
+		for _, batch := range batches[:v] {
+			for _, e := range batch.edges {
+				b.AddEdge(e.U, e.V)
+			}
+		}
+		return b.Build()
+	}
+	for name, be := range backends {
 		t.Run(name, func(t *testing.T) {
-			s := open(t)
+			s := be.open(t)
 			m := putGraph(t, s, 10)
-			appendBatch(t, s, m.ID, []graph.Edge{{U: 0, V: 5}})
-			appendBatch(t, s, m.ID, []graph.Edge{{U: 2, V: 7}, {U: 3, V: 3}})
+			check := func(label string) {
+				t.Helper()
+				vers, err := s.Versions(m.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ver := range vers {
+					w := want(ver.Version)
+					v, release, err := s.View(m.ID, ver.Version)
+					if err != nil {
+						t.Fatalf("%s: View(%d): %v", label, ver.Version, err)
+					}
+					if v.NumVertices() != w.N() || v.NumEdges() != w.M() {
+						t.Fatalf("%s: version %d: view (%d,%d), want (%d,%d)",
+							label, ver.Version, v.NumVertices(), v.NumEdges(), w.N(), w.M())
+					}
+					if got, wantD := DigestView(v), DigestGraph(w); got != wantD {
+						t.Fatalf("%s: version %d: view digest %s, want %s", label, ver.Version, got[:12], wantD[:12])
+					}
+					release()
+				}
+			}
+			check("put")
+			prev := Version{Digest: m.Digest, N: m.N, M: m.M}
+			for i, batch := range batches {
+				v := Version{
+					Version:  i + 1,
+					Digest:   ChainDigest(prev.Digest, batch.n, batch.edges),
+					N:        batch.n,
+					M:        prev.M + len(batch.edges),
+					Appended: len(batch.edges),
+				}
+				if err := s.Append(m.ID, batch.edges, v); err != nil {
+					t.Fatal(err)
+				}
+				prev = v
+				check(fmt.Sprintf("append %d", i+1))
+			}
 			vers, err := s.Versions(m.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, ver := range vers {
-				want, err := s.Materialize(m.ID, ver.Version)
-				if err != nil {
-					t.Fatal(err)
-				}
-				v, release, err := s.View(m.ID, ver.Version)
-				if err != nil {
-					t.Fatalf("View(%d): %v", ver.Version, err)
-				}
-				if v.NumVertices() != want.N() || v.NumEdges() != want.M() {
-					t.Fatalf("version %d: view (%d,%d), want (%d,%d)",
-						ver.Version, v.NumVertices(), v.NumEdges(), want.N(), want.M())
-				}
-				if got, wantD := DigestView(v), DigestGraph(want); got != wantD {
-					t.Fatalf("version %d: view digest %s, want %s", ver.Version, got[:12], wantD[:12])
-				}
-				release()
+			if vers[0].Version != len(batches)-retain+1 {
+				t.Fatalf("window starts at version %d, want %d", vers[0].Version, len(batches)-retain+1)
 			}
+			if d, ok := s.(*Disk); ok {
+				d.mu.Lock()
+				snap := d.t.recs[m.ID].snapVer.Version
+				d.mu.Unlock()
+				if snap == 0 {
+					t.Fatal("no compaction rebased the snapshot")
+				}
+			}
+			s = be.reopen(t, s)
+			check("reopened")
 			// A version outside the lineage fails cleanly.
 			if _, _, err := s.View(m.ID, 99); err == nil {
 				t.Fatal("View of unknown version succeeded")

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -10,14 +9,12 @@ import (
 // Memory is the in-process Store: the pre-durability behavior of the
 // service, now behind the interface. Nothing survives a restart.
 type Memory struct {
-	mu  sync.Mutex
-	cfg Config
-	t   *table
+	records
 }
 
 // NewMemory returns an empty in-memory store.
 func NewMemory(cfg Config) *Memory {
-	return &Memory{cfg: cfg.withDefaults(), t: newTable()}
+	return &Memory{records: newRecords(cfg)}
 }
 
 func (s *Memory) Put(meta Meta, base graph.View, v0 Version) ([]string, error) {
@@ -27,54 +24,18 @@ func (s *Memory) Put(meta Meta, base graph.View, v0 Version) ([]string, error) {
 	if _, ok := s.t.recs[meta.ID]; ok {
 		return nil, fmt.Errorf("store: graph %s already present", meta.ID)
 	}
-	s.t.insert(&record{meta: meta, snap: snap, snapVer: v0})
 	var evicted []string
-	for s.cfg.MaxGraphs > 0 && len(s.t.recs) > s.cfg.MaxGraphs {
-		id, ok := s.t.lruVictim()
-		if !ok {
-			break
-		}
-		s.t.remove(id)
-		evicted = append(evicted, id)
+	for _, r := range s.insertLocked(&record{meta: meta, snap: snap, snapVer: v0}) {
+		evicted = append(evicted, r.meta.ID)
 	}
 	return evicted, nil
 }
 
-func (s *Memory) Get(id string) (Meta, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.t.recs[id]
-	if !ok {
-		return Meta{}, false
-	}
-	s.t.touch(r)
-	return r.meta, true
-}
-
-func (s *Memory) List() []Meta {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.t.list()
-}
-
-func (s *Memory) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.t.recs)
-}
-
-// rec looks a record up and bumps its recency.
-func (s *Memory) rec(id string) (*record, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.t.recs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: graph %s", ErrNotFound, id)
-	}
-	s.t.touch(r)
-	return r, nil
-}
-
+// Append records the batch in memory only. Batch metadata older than
+// the retained window can never be resolved again, so it is dropped and
+// lineage bookkeeping stays O(window). The appended edges themselves
+// are kept: the base never rebases, so every retained version is an
+// overlay of a prefix of them on it.
 func (s *Memory) Append(id string, batch []graph.Edge, v Version) error {
 	r, err := s.rec(id)
 	if err != nil {
@@ -83,64 +44,10 @@ func (s *Memory) Append(id string, batch []graph.Edge, v Version) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.appendLocked(batch, v)
-	// Batch metadata older than the retained window can never be
-	// resolved again; drop it so lineage bookkeeping stays O(window).
-	// The appended edges themselves are kept — the latest snapshot
-	// still materializes from the immutable base.
 	if extra := len(r.batches) - s.cfg.RetainVersions; extra > 0 {
 		r.batches = append(r.batches[:0:0], r.batches[extra:]...)
 	}
 	return nil
-}
-
-func (s *Memory) Versions(id string) ([]Version, error) {
-	r, err := s.rec(id)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.window(s.cfg.RetainVersions), nil
-}
-
-func (s *Memory) Delta(id string, from, to int) ([]graph.Edge, error) {
-	r, err := s.rec(id)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.deltaLocked(from, to, s.cfg.RetainVersions)
-}
-
-func (s *Memory) Tail(id string, from int) ([]BatchRecord, error) {
-	r, err := s.rec(id)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tailLocked(from, s.cfg.RetainVersions)
-}
-
-func (s *Memory) Materialize(id string, version int) (*graph.Graph, error) {
-	r, err := s.rec(id)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.materializeLocked(version, s.cfg.RetainVersions)
-}
-
-func (s *Memory) View(id string, version int) (graph.View, func(), error) {
-	r, err := s.rec(id)
-	if err != nil {
-		return nil, nil, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.viewLocked(version, s.cfg.RetainVersions)
 }
 
 func (s *Memory) Evict(id string) bool {

@@ -14,8 +14,16 @@ import (
 // snapshot graph (the base at first; the durable backend rebases it on
 // compaction), the edges appended after it, and the lineage metadata of
 // every batch still layered on top of the snapshot. A record's own
-// mutex guards all mutable fields; the store-level mutex only guards
-// the id→record table and the LRU bookkeeping.
+// mutex guards all mutable fields; the store-level mutex guards the
+// id→record table and the LRU bookkeeping.
+//
+// Lock rule for the disk backend's wal and mapped: they are written
+// only while holding both the store mutex and r.mu (a compaction takes
+// the store mutex inside r.mu for its swap). Eviction and Close, under
+// the store mutex alone, and readers such as View and Append, under
+// r.mu alone, therefore each see the old handle or the new one. Neither
+// side waits for the other's lock: eviction never takes r.mu, which a
+// compaction holds for its whole rewrite.
 type record struct {
 	mu   sync.Mutex
 	meta Meta
@@ -23,9 +31,10 @@ type record struct {
 	used int64 // last-access tick for LRU eviction
 	// Exactly one of snap and mapped is set: snap is the resident CSR
 	// base (memory backend), mapped the base served off the snapshot
-	// file's mapping (disk backend).
+	// file's mapping (disk backend), with wal its open write-ahead log.
 	snap    *graph.Graph
 	mapped  *mappedHandle
+	wal     *walState
 	snapVer Version
 	// appended holds every post-snapshot edge in append order; batches
 	// marks each batch's version metadata and its end offset within
@@ -33,10 +42,6 @@ type record struct {
 	// handed out under the lock stay valid after it is released.
 	appended []graph.Edge
 	batches  []batchMeta
-	// cache is the latest version's materialization (pointer-stable
-	// until the next append); the snapshot itself covers the oldest.
-	cache    *graph.Graph
-	cacheVer int
 }
 
 type batchMeta struct {
@@ -47,9 +52,9 @@ type batchMeta struct {
 // mappedHandle refcounts the mapping behind a disk record's base so it
 // is unmapped only after the last reader is done: the record itself
 // holds one reference (dropped on eviction, compaction swap, or store
-// close), and every View acquires one for its lifetime. Without the
-// count, an eviction racing a running solve would unmap pages the
-// solver is reading — a SIGSEGV, not an error return.
+// close), and every View and compaction pins one for its lifetime.
+// Without the count, an eviction racing a running solve would unmap
+// pages the solver is reading — a SIGSEGV, not an error return.
 type mappedHandle struct {
 	m    fault.Mapping
 	g    *graph.MappedGraph
@@ -138,8 +143,8 @@ func (r *record) offOf(version, retain int) (int, error) {
 	return 0, fmt.Errorf("%w: graph %s version %d not retained", ErrNotFound, r.meta.ID, version)
 }
 
-// versionsLocked, deltaLocked, materializeLocked implement the shared
-// read paths; callers hold r.mu.
+// deltaLocked returns the edges appended between two retained
+// versions; callers hold r.mu.
 func (r *record) deltaLocked(from, to, retain int) ([]graph.Edge, error) {
 	if from >= to {
 		return nil, fmt.Errorf("store: delta %d..%d is not forward", from, to)
@@ -205,79 +210,27 @@ func (r *record) infoOf(version int) Version {
 	return Version{}
 }
 
-func (r *record) materializeLocked(version, retain int) (*graph.Graph, error) {
-	if version == r.snapVer.Version && r.mapped == nil {
-		// Still ensure the version is retained: after heavy appends the
-		// snapshot version can fall out of the window in the memory
-		// backend (the durable one compacts it forward instead).
-		if _, err := r.offOf(version, retain); err != nil {
-			return nil, err
-		}
-		return r.snap, nil
-	}
-	off, err := r.offOf(version, retain)
-	if err != nil {
-		return nil, err
-	}
-	if r.cache != nil && r.cacheVer == version {
-		return r.cache, nil
-	}
-	base, unpin, ok := r.pinBase()
-	if !ok {
-		return nil, fmt.Errorf("%w: graph %s evicted", ErrNotFound, r.meta.ID)
-	}
-	info := r.infoOf(version)
-	b := graph.NewBuilderHint(info.N, info.M)
-	graph.ForEachEdgeView(base, func(e graph.Edge) { b.AddEdge(e.U, e.V) })
-	unpin()
-	for _, e := range r.appended[:off] {
-		b.AddEdge(e.U, e.V)
-	}
-	g := b.Build()
-	// Cache only the newest materialization: streams solve the tip, and
-	// one snapshot bounds the extra memory to O(n+m) per graph. (For a
-	// mapped record even the snapshot version is a build, so it gets
-	// the same tip-only cache.)
-	latest := r.snapVer.Version
-	if len(r.batches) > 0 {
-		latest = r.batches[len(r.batches)-1].v.Version
-	}
-	if version == latest {
-		r.cache, r.cacheVer = g, version
-	}
-	return g, nil
-}
-
-// viewLocked returns a graph.View of a retained version. A mapped
-// record is never materialized: the view is the mapped base itself for
-// the snapshot version, an Overlay of the appended prefix otherwise,
-// and the release func pins the mapping until called. A resident
-// record (memory backend) returns its materialization — the snapshot
-// or the cached tip CSR, exactly what Materialize returns — so solvers
-// keep their CSR fast path; its release func is a no-op. Callers hold
-// r.mu; the returned view is safe to use after the lock is released —
-// the appended array is append-only between compactions, and
-// compaction replaces rather than mutates it.
+// viewLocked returns a graph.View of a retained version: the pinned
+// base itself for the snapshot version, an Overlay of the appended
+// prefix on it otherwise — the same path for the resident CSR (memory
+// backend) and the mapped snapshot (disk backend), so no version is
+// ever materialized here. The release func unpins the base. Callers
+// hold r.mu; the view stays valid after the lock is released — the
+// appended array is append-only between compactions, and compaction
+// replaces rather than mutates it.
 func (r *record) viewLocked(version, retain int) (graph.View, func(), error) {
-	if r.mapped == nil {
-		g, err := r.materializeLocked(version, retain)
-		if err != nil {
-			return nil, nil, err
-		}
-		return g, func() {}, nil
-	}
 	off, err := r.offOf(version, retain)
 	if err != nil {
 		return nil, nil, err
 	}
-	if !r.mapped.tryAcquire() {
+	base, release, ok := r.pinBase()
+	if !ok {
 		return nil, nil, fmt.Errorf("%w: graph %s evicted", ErrNotFound, r.meta.ID)
 	}
-	var v graph.View = r.mapped.g
-	if version != r.snapVer.Version {
-		v = graph.NewOverlay(v, r.infoOf(version).N, r.appended[:off])
+	if version == r.snapVer.Version {
+		return base, release, nil
 	}
-	return v, r.mapped.release, nil
+	return graph.NewOverlay(base, r.infoOf(version).N, r.appended[:off]), release, nil
 }
 
 // appendLocked applies the shared in-memory effect of one batch.
@@ -343,4 +296,106 @@ func (t *table) list() []Meta {
 		out = append(out, t.recs[id].meta)
 	}
 	return out
+}
+
+// records is the half of a Store both backends share: the id→record
+// table under one mutex, the sizing Config, and every read method,
+// which needs nothing but a record and its lock. Memory and Disk embed
+// it and add only their write paths.
+type records struct {
+	mu  sync.Mutex
+	cfg Config
+	t   *table
+}
+
+func newRecords(cfg Config) records {
+	return records{cfg: cfg.withDefaults(), t: newTable()}
+}
+
+func (s *records) Get(id string) (Meta, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ok := s.t.recs[id]
+	if !ok {
+		return Meta{}, false
+	}
+	s.t.touch(r)
+	return r.meta, true
+}
+
+func (s *records) List() []Meta {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.t.list()
+}
+
+func (s *records) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.t.recs)
+}
+
+// rec looks a record up and bumps its recency.
+func (s *records) rec(id string) (*record, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ok := s.t.recs[id]
+	if !ok {
+		return nil, fmt.Errorf("%w: graph %s", ErrNotFound, id)
+	}
+	s.t.touch(r)
+	return r, nil
+}
+
+// insertLocked adds a new record, then removes least recently used
+// records until the table is back within Config.MaxGraphs, returning
+// them so the backend can release what they hold. Callers hold s.mu.
+func (s *records) insertLocked(r *record) (evicted []*record) {
+	s.t.insert(r)
+	for s.cfg.MaxGraphs > 0 && len(s.t.recs) > s.cfg.MaxGraphs {
+		id, _ := s.t.lruVictim()
+		victim, _ := s.t.remove(id)
+		evicted = append(evicted, victim)
+	}
+	return evicted
+}
+
+func (s *records) Versions(id string) ([]Version, error) {
+	r, err := s.rec(id)
+	if err != nil {
+		return nil, err
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.window(s.cfg.RetainVersions), nil
+}
+
+func (s *records) Delta(id string, from, to int) ([]graph.Edge, error) {
+	r, err := s.rec(id)
+	if err != nil {
+		return nil, err
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.deltaLocked(from, to, s.cfg.RetainVersions)
+}
+
+func (s *records) Tail(id string, from int) ([]BatchRecord, error) {
+	r, err := s.rec(id)
+	if err != nil {
+		return nil, err
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.tailLocked(from, s.cfg.RetainVersions)
+}
+
+func (s *records) View(id string, version int) (graph.View, func(), error) {
+	r, err := s.rec(id)
+	if err != nil {
+		return nil, nil, err
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.viewLocked(version, s.cfg.RetainVersions)
 }

@@ -16,9 +16,11 @@
 // Both backends share the same semantics, enforced by one conformance
 // suite: content-addressed records, LRU eviction by last access under
 // Config.MaxGraphs, a retained version window of Config.RetainVersions
-// entries, and materialization of any retained version. The service
-// layer (internal/service) holds no graph state of its own — every
-// graph byte it serves flows through this interface.
+// entries, and a read-only View of any retained version — the
+// snapshot, or an Overlay of the appended batches on it. Both also
+// share one record table and one implementation of every read method.
+// The service layer (internal/service) holds no graph state of its own
+// — every graph byte it serves flows through this interface.
 package store
 
 import (
@@ -72,7 +74,7 @@ type Config struct {
 	MaxGraphs int
 	// RetainVersions is the length of the retained version window per
 	// graph (the service passes MaxVersionGap+1). Versions that fall
-	// out of the window can no longer be materialized or used as
+	// out of the window can no longer be viewed or used as
 	// fast-forward anchors. It also sets the disk backend's compaction
 	// cadence: once a graph's WAL holds a full extra window of retired
 	// batches (more than 2×RetainVersions versions in all), they are
@@ -105,7 +107,7 @@ func (c Config) withDefaults() Config {
 // Store is the storage engine interface. Implementations are safe for
 // concurrent use. The caller (internal/service) serializes appends per
 // graph and owns digest computation; the store owns retention, LRU
-// eviction, durability, and materialization.
+// eviction, durability, and the views of retained versions.
 type Store interface {
 	// Put stores a new graph record: identity, base snapshot, and the
 	// version-0 lineage entry. The disk backend streams the base into a
@@ -138,19 +140,15 @@ type Store interface {
 	// (compacted) or do not exist yet, and a replica must re-bootstrap
 	// from a snapshot instead.
 	Tail(id string, from int) ([]BatchRecord, error)
-	// Materialize builds (or returns the cached) immutable CSR graph of
-	// a retained version. The latest version's materialization is
-	// cached and pointer-stable until the next append.
-	Materialize(id string, version int) (*graph.Graph, error)
-	// View returns a read view of a retained version. The disk backend
-	// never materializes it: the view serves straight off the
-	// snapshot's mapped pages, with appended batches layered as an
-	// in-memory overlay. The memory backend's graphs are resident
-	// anyway, so its view is the CSR Materialize returns, which keeps
-	// the solvers' CSR fast path. The release func pins the underlying
-	// mapping for the view's lifetime — eviction and compaction unmap
-	// only after the last release — and must be called exactly once
-	// when the caller is done scanning.
+	// View returns a read view of a retained version; no backend ever
+	// materializes it. The snapshot version is the base itself: the
+	// resident CSR on the memory backend, the snapshot's mapped pages on
+	// the disk backend. Every later version is a graph.Overlay of the
+	// batches appended since the snapshot on that base. A caller that
+	// needs a CSR builds one with graph.MaterializeView. The release
+	// func pins the underlying mapping for the view's lifetime —
+	// eviction and compaction unmap only after the last release — and
+	// must be called exactly once when the caller is done scanning.
 	View(id string, version int) (graph.View, func(), error)
 	// Evict removes one graph (and, for the durable backend, its
 	// files), reporting whether it was present.
