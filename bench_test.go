@@ -192,11 +192,11 @@ func BenchmarkDirectWalks(b *testing.B) {
 // from every vertex of a 9-regular expander, staying put with
 // randomize.LazyStay = 2/3 — the law of the expander with 9 self-loops
 // (27 adjacency entries per vertex). Each walk draws its move count once
-// and takes only its moves. It walks 4 directBlock-sized blocks (1024
-// vertices), so one iteration stays well under a second, and reports
-// wall time per lazy step (n·k·T, stays included), so the figure
-// compares with a walker that draws every step; run it with -cpu 1 for
-// the single-core kernel.
+// and takes only its moves, ten to a 64-bit PCG word at degree 9. It
+// walks 4 directBlock-sized blocks (1024 vertices), so one iteration
+// stays well under a second, and reports wall time per lazy step (n·k·T,
+// stays included), so the figure compares with a walker that draws every
+// step; run it with -cpu 1 for the single-core kernel.
 func BenchmarkDirectWalksLazy(b *testing.B) {
 	const n, t, k = 1024, 1009, 40
 	rng := rand.New(rand.NewPCG(11, 11))

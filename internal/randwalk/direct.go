@@ -42,13 +42,25 @@ import (
 // Fixed-size vertex blocks each walk on their own StreamRNG substream
 // keyed by block index, so the blocks parallelize across the executor
 // without the output depending on the schedule. Walk w of a block (walk
-// w%k of its vertex w/k) owns a slot of draws of the block's stream:
-// [w·t, (w+1)·t) when stay = 0, one draw per step; [w·(t+1), (w+1)·(t+1))
-// when stay > 0, one draw for B, B draws for its moves and the rest of
-// the slot skipped. On a regular graph the walks of a block run four at a
-// time on jump-ahead lanes of the stream (walkLanes), each lane reading
-// exactly the words of its own slot, so the targets depend on neither the
-// lane count nor the worker count.
+// w%k of its vertex w/k) starts walkStride = 2³² words after walk w−1 of
+// the block's stream, reached by one precomputed jump-ahead map. A lazy
+// walk (stay > 0) first draws B from one word; then it takes its moves.
+// A walk reads at most 1 + t words plus rejected ones, far fewer than the
+// stride, so no walk reaches the words of the next one.
+//
+// On a regular graph of degree d the moves take several exact indices
+// from each word (batch, after D. Lemire, "Fast Random Integer Generation
+// in an Interval", ACM TOMACS 2019, and N. Brackett-Rozinsky and D.
+// Lemire, "Batched Ranged Random Integer Generation", arXiv:2408.06213):
+// j indices per word, where j is the largest count with d^j ≤ 2³²
+// (j = 10 at d = 9). A word is redrawn with probability below 2⁻³², and
+// every j-tuple of indices it yields is exactly uniform on [0, d)^j. The
+// walks of a block run four at a time on jump-ahead lanes of the stream
+// (walkLanes), each lane reading exactly the words its walk would read
+// alone, so the targets depend on neither the lane count nor the worker
+// count. On an irregular graph each move takes one word, reduced to a
+// neighbour index by Lemire's multiply-shift without rejection (bias
+// below deg(v)·2⁻⁶⁴ per move).
 func DirectWalks(sim *mpc.Sim, g *graph.Graph, t, k int, stay float64, rng *rand.Rand) ([][]graph.Vertex, error) {
 	n := g.N()
 	if t < 0 {
@@ -76,12 +88,10 @@ func DirectWalks(sim *mpc.Sim, g *graph.Graph, t, k int, stay float64, rng *rand
 	}
 	_, adj := g.CSR()
 	var moves []uint64
-	slot := t
 	if stay > 0 {
 		moves = moveThresholds(t, 1-stay)
-		slot = t + 1
 	}
-	jump := pcgJump(slot)
+	stride := pcgJump(walkStride)
 	blocks := (n + directBlock - 1) / directBlock
 	sim.Executor().Run(blocks, func(bk int) {
 		lo, hi := bk*directBlock, (bk+1)*directBlock
@@ -95,7 +105,7 @@ func DirectWalks(sim *mpc.Sim, g *graph.Graph, t, k int, stay float64, rng *rand
 		}
 		sHi, sLo := mpc.StreamSeeds(s1, s2, uint64(bk))
 		if deg > 0 {
-			walkLanes(rows, adj, deg, lo, k, t, moves, jump, sHi, sLo)
+			walkLanes(rows, adj, newBatch(uint64(deg)), lo, k, t, moves, stride, sHi, sLo)
 			return
 		}
 		for w := range rows {
@@ -109,36 +119,88 @@ func DirectWalks(sim *mpc.Sim, g *graph.Graph, t, k int, stay float64, rng *rand
 				cur = ns[i]
 			}
 			rows[w] = cur
-			sHi, sLo = jump.apply(sHi, sLo)
+			sHi, sLo = stride.apply(sHi, sLo)
 		}
 	})
 	chargeTheorem3(sim, n, t)
 	return targets, nil
 }
 
+// walkStride is the distance, in stream words, between the first words
+// of consecutive walks of a DirectWalks block.
+const walkStride = 1 << 32
+
+// batch is DirectWalks' rule for taking j exact indices in [0, d) from
+// one 64-bit word: j is the largest count with p = d^j ≤ 2³² (at least 1,
+// and at most 64 so that d = 1 terminates). A word x is accepted when
+// x·p mod 2⁶⁴ ≥ thr = 2⁶⁴ mod p, and its indices are then read by j
+// multiply-shift reductions, i, r = bits.Mul64(r, d) from r = x. The j
+// reductions leave r = x·p mod 2⁶⁴ and read off the base-d digits of
+// ⌊x·p/2⁶⁴⌋, most significant first; on accepted words that value is
+// uniform on [0, p) (Lemire's rejection), so the j indices are
+// independent and exactly uniform. A word is rejected with probability
+// thr/2⁶⁴ < p/2⁶⁴, which is below 2⁻³² whenever d ≤ 2³².
+type batch struct {
+	d, p, thr uint64
+	j         int
+}
+
+func newBatch(d uint64) batch {
+	b := batch{d: d, p: 1}
+	for b.j < 64 && b.p <= 1<<32/d {
+		b.p *= d
+		b.j++
+	}
+	if b.j == 0 {
+		b.p, b.j = d, 1
+	}
+	b.thr = -b.p % b.p
+	return b
+}
+
+// rejects reports whether the rule redraws the word x.
+func (b batch) rejects(x uint64) bool { return x*b.p < b.thr }
+
+// next draws words from the stream state (hi, lo) until one is accepted,
+// and returns the state after it with the accepted word.
+func (b batch) next(hi, lo uint64) (uint64, uint64, uint64) {
+	for {
+		var x uint64
+		hi, lo, x = pcgNext(hi, lo)
+		if !b.rejects(x) {
+			return hi, lo, x
+		}
+	}
+}
+
 // walkLanes runs the walks of one regular-graph block: walk w starts at
-// vertex first + w/k, takes its moves on the deg-regular adjacency adj,
+// vertex first + w/k, takes its moves on the bt.d-regular adjacency adj,
 // and writes its endpoint to out[w]. (sHi, sLo) is the block stream's
-// state before its first draw, and jump advances a state by one walk's
-// slot. A walk takes t moves when moves is nil; otherwise its first draw
-// picks its move count from the thresholds in moves.
+// state before its first draw, and stride advances a state by one walk's
+// share of the stream. A walk takes t moves when moves is nil; otherwise
+// its first draw picks its move count from the thresholds in moves. Its
+// moves then read bt.j indices from each accepted word.
 //
-// One walk leaves two serial dependency chains per move: the 128-bit LCG
-// state and the adj load that needs the previous vertex. Four walks run
-// side by side instead, each on its own lane of the stream: lane j starts
-// j slots ahead, so the four chains overlap in the pipeline and every walk
-// still reads exactly the words of its own slot. The lanes run in
-// lockstep for the smallest of their four move counts; each lane then
-// finishes its own tail alone.
-func walkLanes(out, adj []graph.Vertex, deg, first, k, t int, moves []uint64, jump lcg, sHi, sLo uint64) {
-	d := uint64(deg)
+// One walk leaves two serial dependency chains per move: the adj load
+// that needs the previous vertex, and the remainder that the next index
+// is read from. Four walks run side by side instead, each on its own lane
+// of the stream: lane n starts n strides ahead, so the four chains
+// overlap in the pipeline and every walk still reads exactly the words it
+// would read alone. The lanes run in lockstep for the smallest of their
+// four move counts, so all four are at the same index of their words and
+// refill together, every bt.j moves, on one shared count. Each lane then
+// finishes its own tail alone, from its own remainder and count.
+//
+//wcc:hotpath
+func walkLanes(out, adj []graph.Vertex, bt batch, first, k, t int, moves []uint64, stride lcg, sHi, sLo uint64) {
+	d, deg := bt.d, int64(bt.d)
 	w := 0
 	for ; w+4 <= len(out); w += 4 {
 		h0, l0 := sHi, sLo
-		h1, l1 := jump.apply(h0, l0)
-		h2, l2 := jump.apply(h1, l1)
-		h3, l3 := jump.apply(h2, l2)
-		sHi, sLo = jump.apply(h3, l3)
+		h1, l1 := stride.apply(h0, l0)
+		h2, l2 := stride.apply(h1, l1)
+		h3, l3 := stride.apply(h2, l2)
+		sHi, sLo = stride.apply(h3, l3)
 		h0, l0, b0 := drawMoves(moves, t, h0, l0)
 		h1, l1, b1 := drawMoves(moves, t, h1, l1)
 		h2, l2, b2 := drawMoves(moves, t, h2, l2)
@@ -148,42 +210,56 @@ func walkLanes(out, adj []graph.Vertex, deg, first, k, t int, moves []uint64, ju
 		c2 := int64(first + (w+2)/k)
 		c3 := int64(first + (w+3)/k)
 		common := min(b0, b1, b2, b3)
-		for step := 0; step < common; step++ {
-			var x0, x1, x2, x3 uint64
-			h0, l0, x0 = pcgNext(h0, l0)
-			h1, l1, x1 = pcgNext(h1, l1)
-			h2, l2, x2 = pcgNext(h2, l2)
-			h3, l3, x3 = pcgNext(h3, l3)
-			i0, _ := bits.Mul64(x0, d)
-			i1, _ := bits.Mul64(x1, d)
-			i2, _ := bits.Mul64(x2, d)
-			i3, _ := bits.Mul64(x3, d)
-			c0 = int64(adj[c0*int64(deg)+int64(i0)])
-			c1 = int64(adj[c1*int64(deg)+int64(i1)])
-			c2 = int64(adj[c2*int64(deg)+int64(i2)])
-			c3 = int64(adj[c3*int64(deg)+int64(i3)])
+		var r0, r1, r2, r3 uint64
+		left := 0 // indices not yet read from each lane's word
+		for done := 0; done < common; done += bt.j {
+			h0, l0, r0 = bt.next(h0, l0)
+			h1, l1, r1 = bt.next(h1, l1)
+			h2, l2, r2 = bt.next(h2, l2)
+			h3, l3, r3 = bt.next(h3, l3)
+			n := min(bt.j, common-done)
+			left = bt.j - n
+			for ; n > 0; n-- {
+				var i0, i1, i2, i3 uint64
+				i0, r0 = bits.Mul64(r0, d)
+				i1, r1 = bits.Mul64(r1, d)
+				i2, r2 = bits.Mul64(r2, d)
+				i3, r3 = bits.Mul64(r3, d)
+				c0 = int64(adj[c0*deg+int64(i0)])
+				c1 = int64(adj[c1*deg+int64(i1)])
+				c2 = int64(adj[c2*deg+int64(i2)])
+				c3 = int64(adj[c3*deg+int64(i3)])
+			}
 		}
-		out[w] = walkRegular(adj, deg, c0, b0-common, h0, l0)
-		out[w+1] = walkRegular(adj, deg, c1, b1-common, h1, l1)
-		out[w+2] = walkRegular(adj, deg, c2, b2-common, h2, l2)
-		out[w+3] = walkRegular(adj, deg, c3, b3-common, h3, l3)
+		out[w] = walkRegular(adj, bt, c0, b0-common, left, r0, h0, l0)
+		out[w+1] = walkRegular(adj, bt, c1, b1-common, left, r1, h1, l1)
+		out[w+2] = walkRegular(adj, bt, c2, b2-common, left, r2, h2, l2)
+		out[w+3] = walkRegular(adj, bt, c3, b3-common, left, r3, h3, l3)
 	}
 	for ; w < len(out); w++ {
 		hi, lo, b := drawMoves(moves, t, sHi, sLo)
-		out[w] = walkRegular(adj, deg, int64(first+w/k), b, hi, lo)
-		sHi, sLo = jump.apply(sHi, sLo)
+		out[w] = walkRegular(adj, bt, int64(first+w/k), b, 0, 0, hi, lo)
+		sHi, sLo = stride.apply(sHi, sLo)
 	}
 }
 
-// walkRegular takes b moves from vertex c on the deg-regular adjacency
-// adj, drawing from the stream state (hi, lo), and returns the endpoint.
-func walkRegular(adj []graph.Vertex, deg int, c int64, b int, hi, lo uint64) graph.Vertex {
-	d := uint64(deg)
+// walkRegular takes b moves from vertex c on the bt.d-regular adjacency
+// adj and returns the endpoint. The first left moves read the remainder r
+// of a word already drawn; after that it draws words from the stream
+// state (hi, lo).
+//
+//wcc:hotpath
+func walkRegular(adj []graph.Vertex, bt batch, c int64, b, left int, r, hi, lo uint64) graph.Vertex {
+	d, deg := bt.d, int64(bt.d)
 	for ; b > 0; b-- {
-		var x uint64
-		hi, lo, x = pcgNext(hi, lo)
-		i, _ := bits.Mul64(x, d)
-		c = int64(adj[c*int64(deg)+int64(i)])
+		if left == 0 {
+			hi, lo, r = bt.next(hi, lo)
+			left = bt.j
+		}
+		left--
+		var i uint64
+		i, r = bits.Mul64(r, d)
+		c = int64(adj[c*deg+int64(i)])
 	}
 	return graph.Vertex(c)
 }
@@ -256,8 +332,9 @@ const directBlock = 256
 // pcgIndex maps one PCG word to a uniform index in [0, n) by Lemire's
 // multiply-shift reduction, without the rejection pass of rand.IntN: the
 // bias (< n·2⁻⁶⁴) is far below the walks' n^{-Θ(1)} accuracy budget.
-// walkLanes applies the same reduction inline to its lane words, so both
-// paths map a word to the same index.
+// DirectVisited and the Layered engine take one word per move this way,
+// as DirectWalks' irregular path does inline; DirectWalks' regular path
+// takes several exact indices from each word instead (batch).
 func pcgIndex(r *rand.PCG, n int) int {
 	hi, _ := bits.Mul64(r.Uint64(), uint64(n))
 	return int(hi)
@@ -295,7 +372,7 @@ type lcg struct{ mulHi, mulLo, incHi, incLo uint64 }
 // pcgJump returns the PCG's t-step map: the state t draws ahead of s is
 // pcgJump(t).apply(s), composed from O(log t) squarings of the one-step
 // map.
-func pcgJump(t int) lcg {
+func pcgJump(t uint64) lcg {
 	acc := lcg{mulLo: 1}
 	step := lcg{pcgMulHi, pcgMulLo, pcgIncHi, pcgIncLo}
 	for ; t > 0; t >>= 1 {

@@ -660,6 +660,11 @@ func (s *Disk) compact(id string) error {
 	return nil
 }
 
+// Evict drops the graph and deletes its directory, snapshot.map first:
+// a directory left without it, because the removal of the rest failed,
+// is a husk the next Open sweeps. Only a failed unlink of snapshot.map
+// itself, with the directory removal failing too, leaves the evicted
+// graph on disk for the next Open to serve again.
 func (s *Disk) Evict(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -673,12 +678,16 @@ func (s *Disk) Evict(id string) bool {
 // dropLocked finishes evicting a record already removed from the table:
 // it closes the WAL, releases the store's reference on the mapping
 // (in-flight views keep theirs; the pages unmap at the last release),
-// and deletes the directory — unlinking a still-mapped file is safe,
-// the mapping holds the pages. Callers hold s.mu.
+// and deletes the directory, unlinking snapshot.map first so that a
+// failed removal leaves a husk rather than a graph (see Evict) —
+// unlinking a still-mapped file is safe, the mapping holds the pages.
+// Callers hold s.mu.
 func (s *Disk) dropLocked(r *record) {
 	r.wal.f.Close()
 	r.mapped.release()
-	s.fs.RemoveAll(filepath.Join(s.dir, r.meta.ID))
+	gdir := filepath.Join(s.dir, r.meta.ID)
+	s.fs.Remove(filepath.Join(gdir, mapFile))
+	s.fs.RemoveAll(gdir)
 }
 
 // Probe checks whether the backing filesystem accepts durable writes

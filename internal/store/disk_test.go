@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/graph"
 )
 
@@ -336,6 +337,34 @@ func TestDiskEvictRemovesFiles(t *testing.T) {
 	defer s2.Close()
 	if s2.Len() != 0 {
 		t.Fatalf("evicted graph resurrected: %d graphs", s2.Len())
+	}
+}
+
+// TestDiskEvictFailedRemoveAll: when the eviction's directory removal
+// fails, the directory it leaves holds no snapshot, so the next Open
+// sweeps it as a husk instead of serving the evicted graph again.
+func TestDiskEvictFailedRemoveAll(t *testing.T) {
+	dir := t.TempDir()
+	reg := fault.NewRegistry(1)
+	s := openDisk(t, dir, Config{FS: fault.Inject(fault.OS{}, reg)})
+	m := putGraph(t, s, 4)
+	reg.Add(fault.Rule{Site: "removeall:" + m.ID, Kind: fault.KindErr})
+	if !s.Evict(m.ID) {
+		t.Fatal("evict reported absent")
+	}
+	if hits := reg.Hits()["removeall:"+m.ID]; hits != 1 {
+		t.Fatalf("%d directory removals, want 1 (the failing one)", hits)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openDisk(t, dir, Config{})
+	defer s2.Close()
+	if _, ok := s2.Get(m.ID); ok {
+		t.Fatal("the evicted graph is served again after reopening")
+	}
+	if rawExists(t, filepath.Join(dir, m.ID)) {
+		t.Fatal("the evicted graph's directory survived the reopen")
 	}
 }
 
