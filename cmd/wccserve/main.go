@@ -112,7 +112,7 @@ func main() {
 func run() error {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-		dataDir     = flag.String("data-dir", "", "durable storage directory (snapshot + WAL per graph, replayed on boot); empty = in-memory only")
+		dataDir     = flag.String("data-dir", "", "durable storage directory (snapshot + WAL per graph, replayed on boot); empty = in-memory only. Either way each graph holds at most 2×(max-version-gap+1) appended batches: the append that reaches that folds the older ones into its snapshot")
 		jobWorkers  = flag.Int("job-workers", 2, "concurrent solve jobs")
 		cacheSize   = flag.Int("cache-entries", 64, "labeling cache capacity (entries)")
 		jobHistory  = flag.Int("job-history", 0, "completed jobs kept queryable via /v1/jobs (0 = default 256)")

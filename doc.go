@@ -81,7 +81,7 @@
 // bit-identical (up to canonical relabeling) to a fresh full solve, and
 // a second algorithm's solve of a version is checked against the
 // partition already held there.
-// Version metadata (including the component-merge history) is bounded by
+// Version metadata (including each version's merge count) is bounded by
 // the -max-version-gap threshold; beyond it the service falls back to a
 // registry re-solve. gen.TraceSpec describes reproducible churn
 // workloads and cmd/wccstream replays them (generated or recorded trace
@@ -97,13 +97,14 @@
 // suite: an in-memory map (the default) and a durable disk store
 // (wccserve -data-dir). The durable backend keeps, per graph, a WCCM1
 // snapshot file plus an fsync'd append-only edge-batch WAL, both
-// digest-verified and replayed on boot, with background compaction
-// folding WAL batches retired from the retained version window into a
-// fresh snapshot once a full extra window of them has piled up — one
-// snapshot rewrite per RetainVersions appends, not one per append, and
-// at most 2×RetainVersions batches per graph; a restarted server
-// answers the same queries (same IDs, versions, chained digests) it did
-// before SIGTERM. Eviction under MaxGraphs pressure is LRU by last
+// digest-verified and replayed on boot; a restarted server answers the
+// same queries (same IDs, versions, chained digests) it did before
+// SIGTERM. Both backends compact on one path: once a full extra window
+// of batches retired from the retained version window has piled up,
+// the append that sees it folds them into a fresh snapshot (a resident
+// CSR, or a new WCCM1 file and WAL) before it returns — one snapshot
+// rewrite per RetainVersions appends, not one per append, and at most
+// 2×RetainVersions batches per graph. Eviction under MaxGraphs pressure is LRU by last
 // access, so hot graphs survive.
 // WCCM1 is internal/graph's fixed-width, page-aligned,
 // digest-trailered CSR layout (wccgen -format mapped writes it, wccfind

@@ -1,9 +1,9 @@
 // Package dynamic is the incremental connectivity engine behind the
 // versioned graphs in internal/service: an append-capable union-find that
 // absorbs batched edge appends in near-O(α) amortized time per edge,
-// tracks the monotone component-merge history those appends induce, and
-// fast-forwards previously computed labelings across batches without
-// re-running any algorithm.
+// counting the component merges each batch causes, and fast-forwards
+// previously computed labelings across batches without re-running any
+// algorithm.
 //
 // Connectivity under edge insertions is monotone — components only ever
 // merge, never split — which is what makes the incremental path exact
@@ -23,17 +23,6 @@ import (
 	"repro/internal/graph"
 )
 
-// Merge is one component merge in the engine's history: at Version, the
-// set represented by Loser was absorbed into the set represented by
-// Winner. Representatives are union-find roots at merge time; a Loser
-// never appears as a Winner or Loser of a later merge, which is the
-// monotonicity the history encodes.
-type Merge struct {
-	Version int
-	Winner  graph.Vertex
-	Loser   graph.Vertex
-}
-
 // Engine is incremental connectivity over an append-only edge stream.
 // It is not safe for concurrent use; internal/service serializes appends
 // per stored graph.
@@ -41,7 +30,6 @@ type Engine struct {
 	uf      *graph.UnionFind
 	version int
 	edges   int
-	merges  []Merge
 }
 
 // New returns an engine over n isolated vertices at version 0.
@@ -52,8 +40,7 @@ func New(n int) *Engine {
 // FromGraph seeds an engine with v's edges as version 0 — the base
 // snapshot of a versioned graph. v may be an in-RAM *Graph or a view
 // served off a mapped store snapshot: the edges are streamed through
-// graph.ForEachEdgeView, so seeding never builds a CSR. The base merges
-// are not recorded in the history; History tracks the appended deltas.
+// graph.ForEachEdgeView, so seeding never builds a CSR.
 func FromGraph(v graph.View) *Engine {
 	e := New(v.NumVertices())
 	graph.ForEachEdgeView(v, func(edge graph.Edge) { e.uf.Union(edge.U, edge.V) })
@@ -73,21 +60,9 @@ func (e *Engine) Apply(batch []graph.Edge, grow int) int {
 	e.version++
 	merged := 0
 	for _, edge := range batch {
-		ru, rv := e.uf.Find(edge.U), e.uf.Find(edge.V)
-		if ru == rv {
-			continue
+		if e.uf.Union(edge.U, edge.V) {
+			merged++
 		}
-		e.uf.Union(ru, rv)
-		// The surviving representative is whatever the forest reports
-		// post-merge — no duplication of UnionFind's tie-break here. The
-		// history stays bounded: components only merge, so a graph accrues
-		// at most N()-1 entries over its whole lifetime.
-		winner, loser := e.uf.Find(ru), rv
-		if winner == rv {
-			loser = ru
-		}
-		e.merges = append(e.merges, Merge{Version: e.version, Winner: winner, Loser: loser})
-		merged++
 	}
 	e.edges += len(batch)
 	return merged
@@ -115,10 +90,6 @@ func (e *Engine) ComponentSize(u graph.Vertex) int { return e.uf.SetSize(u) }
 // order, the same convention every registry algorithm's labeling is
 // compared under).
 func (e *Engine) Labels() []graph.Vertex { return e.uf.Labels() }
-
-// History returns the component-merge history of all applied batches,
-// in application order. The returned slice is owned by the engine.
-func (e *Engine) History() []Merge { return e.merges }
 
 // MergeLabels fast-forwards a dense component labeling across an appended
 // edge batch without touching the underlying graph: labels is a dense

@@ -27,9 +27,6 @@ func TestEngineMatchesStaticComponents(t *testing.T) {
 	if e.Version() != 1 || e.Components() != 3 {
 		t.Fatalf("after intra: version=%d components=%d", e.Version(), e.Components())
 	}
-	if len(e.History()) != 0 {
-		t.Fatalf("intra edge recorded history %v", e.History())
-	}
 
 	// Inter-component edge: exactly one merge.
 	if m := e.Apply([]graph.Edge{{U: 2, V: 3}}, 0); m != 1 {
@@ -46,17 +43,16 @@ func TestEngineMatchesStaticComponents(t *testing.T) {
 	if e.N() != 7 || e.Components() != 3 { // {0..3,}, {4,5}, {6}
 		t.Fatalf("after grow: n=%d components=%d", e.N(), e.Components())
 	}
-
-	hist := e.History()
-	if len(hist) != 2 || hist[0].Version != 2 || hist[1].Version != 3 {
-		t.Fatalf("history = %+v", hist)
-	}
 }
 
-func TestHistoryIsMonotone(t *testing.T) {
+// TestApplyMergeCountsMatchComponents: components only merge, so after
+// every batch the component count is the initial count minus the merges
+// Apply reported so far.
+func TestApplyMergeCountsMatchComponents(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 1))
 	const n = 200
 	e := New(n)
+	merges := 0
 	for batch := 0; batch < 40; batch++ {
 		edges := make([]graph.Edge, 0, 8)
 		for i := 0; i < 8; i++ {
@@ -64,25 +60,10 @@ func TestHistoryIsMonotone(t *testing.T) {
 				U: graph.Vertex(rng.IntN(n)), V: graph.Vertex(rng.IntN(n)),
 			})
 		}
-		e.Apply(edges, 0)
-	}
-	// Monotonicity: a loser representative never reappears in any later
-	// merge, versions are non-decreasing, and the component count is the
-	// initial count minus the number of merges.
-	seenLoser := map[graph.Vertex]bool{}
-	lastV := 0
-	for _, m := range e.History() {
-		if m.Version < lastV {
-			t.Fatalf("history versions not monotone: %+v", e.History())
+		merges += e.Apply(edges, 0)
+		if want := n - merges; e.Components() != want {
+			t.Fatalf("batch %d: components = %d, want initial-merges = %d", batch, e.Components(), want)
 		}
-		lastV = m.Version
-		if seenLoser[m.Winner] || seenLoser[m.Loser] {
-			t.Fatalf("representative reused after losing: %+v", m)
-		}
-		seenLoser[m.Loser] = true
-	}
-	if want := n - len(e.History()); e.Components() != want {
-		t.Fatalf("components = %d, want initial-merges = %d", e.Components(), want)
 	}
 }
 
@@ -275,7 +256,7 @@ func TestFromGraphMappedViewMatchesMaterialized(t *testing.T) {
 				if mv, mc := fromView.Apply(batch, grow), fromCSR.Apply(batch, grow); mv != mc {
 					t.Fatalf("batch %d: %d merges from the view seed, %d from the CSR seed", b, mv, mc)
 				}
-				if !slices.Equal(fromView.Labels(), fromCSR.Labels()) || !slices.Equal(fromView.History(), fromCSR.History()) {
+				if !slices.Equal(fromView.Labels(), fromCSR.Labels()) {
 					t.Fatalf("batch %d: engines diverged", b)
 				}
 				if labelsV, countV, err = MergeLabels(labelsV, countV, batch, curN); err != nil {

@@ -204,41 +204,27 @@ func (mw *MappedWriter) Close() error {
 // WriteMapped writes g as a WCCM1 file with no meta blob — the wccgen
 // -format mapped output, and the mapped analogue of WriteBinary.
 func WriteMapped(w io.Writer, g *Graph) error {
-	return WriteMappedView(w, g, g.N(), nil, nil)
+	return WriteMappedView(w, g, nil)
 }
 
-// WriteMappedView streams the graph "base ∪ delta" on n vertices as a
-// WCCM1 file without ever materializing it: each vertex's output list
-// is the sorted merge of its (sorted) base adjacency and its (sorted)
-// delta half-edges. This is how compaction rewrites an out-of-core
-// snapshot — base is the old MappedGraph, delta the WAL batches being
-// folded in — in O(n + delta) memory.
-func WriteMappedView(w io.Writer, base View, n int, delta []Edge, meta []byte) error {
-	m := int64(base.NumEdges()) + int64(len(delta))
-	mw, err := NewMappedWriter(w, n, m, meta)
+// WriteMappedView streams v as a WCCM1 file one adjacency list at a
+// time, without ever materializing it: v can be a snapshot's mapping,
+// or an Overlay of appended batches on one, whose lists come out merged
+// and sorted. This is how the store writes and compacts an out-of-core
+// snapshot, and how a primary ships one, in O(max degree) memory
+// beyond v's own.
+func WriteMappedView(w io.Writer, v View, meta []byte) error {
+	n := v.NumVertices()
+	mw, err := NewMappedWriter(w, n, int64(v.NumEdges()), meta)
 	if err != nil {
 		return err
 	}
-	dOff, dAdj := deltaCSR(n, delta)
-	baseN := base.NumVertices()
-	var buf, merged []Vertex
-	for v := 0; v < n; v++ {
-		var bs []Vertex
-		if v < baseN {
-			if d := base.Degree(Vertex(v)); cap(buf) < d {
-				buf = make([]Vertex, d)
-			}
-			bs = base.Neighbors(Vertex(v), buf[:cap(buf)])
+	var buf []Vertex
+	for u := 0; u < n; u++ {
+		if d := v.Degree(Vertex(u)); cap(buf) < d {
+			buf = make([]Vertex, d)
 		}
-		ds := dAdj[dOff[v]:dOff[v+1]]
-		out := bs
-		if len(ds) > 0 {
-			if cap(merged) < len(bs)+len(ds) {
-				merged = make([]Vertex, len(bs)+len(ds))
-			}
-			out = mergeSorted(merged[:0], bs, ds)
-		}
-		if err := mw.AddVertex(out); err != nil {
+		if err := mw.AddVertex(v.Neighbors(Vertex(u), buf[:cap(buf)])); err != nil {
 			return err
 		}
 	}
@@ -246,7 +232,7 @@ func WriteMappedView(w io.Writer, base View, n int, delta []Edge, meta []byte) e
 }
 
 // deltaCSR builds the sorted half-edge CSR of an edge list — the shape
-// both Overlay and WriteMappedView need for O(1) per-vertex lookup.
+// Overlay needs for O(1) per-vertex lookup.
 func deltaCSR(n int, edges []Edge) (off []int64, adj []Vertex) {
 	off = make([]int64, n+1)
 	for _, e := range edges {
@@ -275,22 +261,6 @@ func deltaCSR(n int, edges []Edge) (off []int64, adj []Vertex) {
 		}
 	}
 	return off, adj
-}
-
-// mergeSorted appends the sorted merge of a and b to dst.
-func mergeSorted(dst, a, b []Vertex) []Vertex {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			dst = append(dst, a[i])
-			i++
-		} else {
-			dst = append(dst, b[j])
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
 }
 
 // MappedSource is what a WCCM1 reader needs from its backing file: the

@@ -189,9 +189,10 @@ func TestMappedWriterValidation(t *testing.T) {
 	}
 }
 
-// TestWriteMappedView: encoding base+delta through WriteMappedView must
-// equal encoding the materialized merge — the streaming merge path is
-// what compaction uses, so it must be bit-faithful.
+// TestWriteMappedView: encoding an Overlay of base+delta through
+// WriteMappedView must equal encoding the materialized merge — the
+// streaming merge path is what compaction uses, so it must be
+// bit-faithful.
 func TestWriteMappedView(t *testing.T) {
 	base := buildTestGraphs()["twocomp"]
 	delta := []Edge{{U: 5, V: 0}, {U: 4, V: 4}, {U: 1, V: 3}, {U: 0, V: 1}}
@@ -199,7 +200,7 @@ func TestWriteMappedView(t *testing.T) {
 
 	var stream bytes.Buffer
 	meta := []byte(`{"id":"t"}`)
-	if err := WriteMappedView(&stream, base, n, delta, meta); err != nil {
+	if err := WriteMappedView(&stream, NewOverlay(base, n, delta), meta); err != nil {
 		t.Fatal(err)
 	}
 
@@ -210,7 +211,7 @@ func TestWriteMappedView(t *testing.T) {
 	}
 	merged := b.Build()
 	var direct bytes.Buffer
-	if err := WriteMappedView(&direct, merged, n, nil, meta); err != nil {
+	if err := WriteMappedView(&direct, merged, meta); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(stream.Bytes(), direct.Bytes()) {
@@ -422,7 +423,7 @@ func TestDeltaHubVertex(t *testing.T) {
 		t.Error("Overlay hub adjacency differs from the rebuilt CSR")
 	}
 	var enc bytes.Buffer
-	if err := WriteMappedView(&enc, base, nn, delta, nil); err != nil {
+	if err := WriteMappedView(&enc, ov, nil); err != nil {
 		t.Fatal(err)
 	}
 	mg, err := OpenMappedSource(NewBytesSource(enc.Bytes()))

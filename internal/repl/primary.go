@@ -157,7 +157,7 @@ func (p *Primary) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if p.opt.Registry != nil {
 		out = fault.InjectWriter(out, p.opt.Registry, "send:snapshot")
 	}
-	if err := graph.WriteMappedView(out, view, oldest.N, nil, mj); err != nil {
+	if err := graph.WriteMappedView(out, view, mj); err != nil {
 		// Headers are gone; the truncated body fails the replica's WCCM1
 		// digest check, which is the recovery path that matters.
 		p.opt.Logf("repl: snapshot %s@%d transfer failed: %v", id, oldest.Version, err)

@@ -428,7 +428,9 @@ func (s *Service) forwardHeader(l *Labeling, version int, targetKey [sha256Len]b
 // already cached there) and counts one incremental merge; failure
 // (nothing cached inside the retention window) means the caller
 // re-solves through the registry — exactly the version-gap fallback the
-// config threshold describes.
+// config threshold describes. The walk needs no gap check of its own:
+// the window holds at most MaxVersionGap+1 consecutive versions (the
+// store retains that many, and commitLocked trims to the same count).
 //
 //wcc:coldpath
 func (s *Service) fastForward(sg *StoredGraph, target versionRef, spec SolveSpec) (*Labeling, bool) {
@@ -440,9 +442,6 @@ func (s *Service) fastForward(sg *StoredGraph, target versionRef, spec SolveSpec
 		v := w.refs[i]
 		if v.info.Version >= target.info.Version {
 			continue
-		}
-		if target.info.Version-v.info.Version > s.cfg.MaxVersionGap {
-			break
 		}
 		key, ok := s.cacheKey(v.key, spec)
 		if !ok {

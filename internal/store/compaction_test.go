@@ -54,7 +54,7 @@ func (l *siteLog) take() []string {
 func TestCompactionSyncsSnapshotRenameBeforeWAL(t *testing.T) {
 	const w = 2
 	trace := &siteLog{FS: fault.OS{}}
-	s := openDisk(t, t.TempDir(), Config{RetainVersions: w, SyncCompaction: true, FS: trace})
+	s := openDisk(t, t.TempDir(), Config{RetainVersions: w, FS: trace})
 	defer s.Close()
 	m := putGraph(t, s, 8)
 	// 2w appends reach the trigger; the last one runs the compaction.
@@ -94,7 +94,7 @@ func TestCompactionSyncFailureKeepsWAL(t *testing.T) {
 	const w = 2
 	dir := t.TempDir()
 	reg := fault.NewRegistry(1)
-	s := openDisk(t, dir, Config{RetainVersions: w, SyncCompaction: true, FS: fault.Inject(fault.OS{}, reg)})
+	s := openDisk(t, dir, Config{RetainVersions: w, FS: fault.Inject(fault.OS{}, reg)})
 	m := putGraph(t, s, 8)
 	for i := 0; i < 2*w-1; i++ {
 		appendBatch(t, s, m.ID, []graph.Edge{{U: graph.Vertex(i), V: graph.Vertex(i + 2)}})
@@ -164,7 +164,7 @@ func TestCompactionSyncFailureKeepsWAL(t *testing.T) {
 func TestCompactionCadence(t *testing.T) {
 	const w = 4
 	reg := fault.NewRegistry(1)
-	s := openDisk(t, t.TempDir(), Config{RetainVersions: w, SyncCompaction: true, FS: fault.Inject(fault.OS{}, reg)})
+	s := openDisk(t, t.TempDir(), Config{RetainVersions: w, FS: fault.Inject(fault.OS{}, reg)})
 	defer s.Close()
 	m := putGraph(t, s, 8)
 	afterPut := reg.Hits()["rename:"+mapFile]
@@ -234,70 +234,139 @@ func (o *mapOrder) unmaps() []int {
 	return slices.Clone(o.unmapped)
 }
 
-// TestEvictDuringCompaction pins record's lock rule where eviction and
-// a background compaction meet. The compaction is stalled at its WAL
-// rename while the graph is evicted, with a view of the tip pinned on
-// the old mapping from before. The eviction's directory removal is made
-// to fail, so the compaction gets past the rename and reaches its swap
-// with the record already gone. Then the pinned view must still read
-// the same graph, its mapping must outlive everything but the view's
-// own release, and after Close and the release every mapping and every
-// wal.log handle must have been released exactly once: the eviction
-// drops the old WAL and mapping, the compaction its orphaned new ones.
-func TestEvictDuringCompaction(t *testing.T) {
-	const w = 2
-	reg := fault.NewRegistry(1)
-	order := &mapOrder{FS: fault.OS{}}
-	s := openDisk(t, t.TempDir(), Config{RetainVersions: w, FS: fault.Inject(order, reg)})
-	m := putGraph(t, s, 8)
-	for i := 0; i < 2*w-1; i++ {
-		appendBatch(t, s, m.ID, []graph.Edge{{U: graph.Vertex(i), V: graph.Vertex(i + 2)}})
-	}
-	vers, err := s.Versions(m.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view, release, err := s.View(m.ID, vers[len(vers)-1].Version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := DigestView(view)
+// compactionRace is a graph whose compaction is stalled at its WAL
+// rename, inside the append that triggered it, which runs in its own
+// goroutine. A view of the tip taken before that append is pinned on
+// Put's mapping (mapping 1). While the stall lasts (500ms by default),
+// a test makes the record disappear under the compaction.
+type compactionRace struct {
+	s        *Disk
+	reg      *fault.Registry
+	order    *mapOrder
+	r        *record
+	view     graph.View
+	release  func()
+	want     string
+	tip      int // the version the triggering append acknowledges
+	appended chan error
+}
 
-	// The stall (500ms by default) is the window the eviction lands in.
-	reg.Add(fault.Rule{Site: "rename:" + walFile, Hit: 1, Kind: fault.KindStall})
-	reg.Add(fault.Rule{Site: "removeall:" + m.ID, Kind: fault.KindErr})
-	// The 2w-th append queues the compaction on the background worker.
-	appendBatch(t, s, m.ID, []graph.Edge{{U: 5, V: 7}})
-	for deadline := time.Now().Add(10 * time.Second); reg.Hits()["rename:"+walFile] == 0; time.Sleep(time.Millisecond) {
+func stallCompaction(t *testing.T, dir string) *compactionRace {
+	t.Helper()
+	const w = 2
+	c := &compactionRace{reg: fault.NewRegistry(1), order: &mapOrder{FS: fault.OS{}}, appended: make(chan error, 1)}
+	c.s = openDisk(t, dir, Config{RetainVersions: w, FS: fault.Inject(c.order, c.reg)})
+	m := putGraph(t, c.s, 8)
+	for i := 0; i < 2*w-1; i++ {
+		appendBatch(t, c.s, m.ID, []graph.Edge{{U: graph.Vertex(i), V: graph.Vertex(i + 2)}})
+	}
+	vers, err := c.s.Versions(m.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.view, c.release, err = c.s.View(m.ID, vers[len(vers)-1].Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.want = DigestView(c.view)
+	c.s.mu.Lock()
+	c.r = c.s.t.recs[m.ID]
+	c.s.mu.Unlock()
+
+	c.reg.Add(fault.Rule{Site: "rename:" + walFile, Hit: 1, Kind: fault.KindStall})
+	// The 2w-th append runs the compaction before it returns.
+	batch := []graph.Edge{{U: 5, V: 7}}
+	prev := vers[len(vers)-1]
+	v := Version{Version: prev.Version + 1, Digest: ChainDigest(prev.Digest, prev.N, batch), N: prev.N, M: prev.M + 1, Appended: 1}
+	c.tip = v.Version
+	go func() { c.appended <- c.s.Append(m.ID, batch, v) }()
+	for deadline := time.Now().Add(10 * time.Second); c.reg.Hits()["rename:"+walFile] == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the compaction never reached its WAL rename")
 		}
 	}
-	if !s.Evict(m.ID) {
-		t.Fatal("evict reported absent")
+	return c
+}
+
+// finish waits for the triggering append and checks the end state: the
+// append succeeded, the compaction reached its swap and took the
+// evicted exit (the record was not rebased), the pinned view still
+// reads the same graph on a mapping that outlives everything but the
+// view's release, and after Close and the release every mapping and
+// every wal.log handle has been released exactly once.
+func (c *compactionRace) finish(t *testing.T) {
+	t.Helper()
+	if err := <-c.appended; err != nil {
+		t.Fatalf("the triggering append: %v", err)
 	}
-	// Close waits for the stalled compaction to finish.
-	if err := s.Close(); err != nil {
+	if err := c.s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if hits := reg.Hits(); hits["map:"+mapFile] != 2 || hits["open:"+walFile] != 2 {
+	if hits := c.reg.Hits(); hits["map:"+mapFile] != 2 || hits["open:"+walFile] != 2 {
 		t.Fatalf("compaction did not reach its swap: %d snapshot maps, %d WAL reopens, want 2 and 2",
 			hits["map:"+mapFile], hits["open:"+walFile])
 	}
-	// Mapping 1 is Put's, the one the view pins.
-	if slices.Contains(order.unmaps(), 1) {
-		t.Fatalf("the pinned mapping was unmapped before the view's release (unmap order %v)", order.unmaps())
+	c.r.mu.Lock()
+	snap := c.r.snapVer.Version
+	c.r.mu.Unlock()
+	if snap != 0 {
+		t.Fatalf("the evicted record was rebased to version %d", snap)
 	}
-	if got := DigestView(view); got != want {
-		t.Fatalf("pinned view digests %s after the eviction, want %s", got[:12], want[:12])
+	if slices.Contains(c.order.unmaps(), 1) {
+		t.Fatalf("the pinned mapping was unmapped before the view's release (unmap order %v)", c.order.unmaps())
 	}
-	release()
+	if got := DigestView(c.view); got != c.want {
+		t.Fatalf("pinned view digests %s after the record went, want %s", got[:12], c.want[:12])
+	}
+	c.release()
 
-	hits := reg.Hits()
+	hits := c.reg.Hits()
 	if maps, unmaps := hits["map:"+mapFile], hits["unmap:"+mapFile]; maps != unmaps {
-		t.Fatalf("%d snapshot mappings, %d unmaps (unmap order %v)", maps, unmaps, order.unmaps())
+		t.Fatalf("%d snapshot mappings, %d unmaps (unmap order %v)", maps, unmaps, c.order.unmaps())
 	}
 	if opens, closes := hits["create:"+walFile]+hits["open:"+walFile], hits["close:"+walFile]; opens != closes {
 		t.Fatalf("%d %s opens, %d closes", opens, walFile, closes)
+	}
+}
+
+// TestEvictDuringCompaction pins record's lock rule where eviction and
+// an append's compaction meet: the graph is evicted while the
+// compaction is stalled at its WAL rename. The eviction's directory
+// removal is made to fail, so the compaction gets past the rename and
+// reaches its swap with the record already gone. The eviction drops the
+// old WAL and mapping, the compaction its orphaned new ones.
+func TestEvictDuringCompaction(t *testing.T) {
+	c := stallCompaction(t, t.TempDir())
+	c.reg.Add(fault.Rule{Site: "removeall:" + c.r.meta.ID, Kind: fault.KindErr})
+	if !c.s.Evict(c.r.meta.ID) {
+		t.Fatal("evict reported absent")
+	}
+	c.finish(t)
+}
+
+// TestCloseDuringCompaction: Close lands while an append's compaction
+// is stalled at its WAL rename. Close drops the old WAL and mapping and
+// returns only once the compaction has taken its evicted exit, which
+// drops the new ones. The files the compaction finished are a valid
+// state: a reopen serves the whole retained window.
+func TestCloseDuringCompaction(t *testing.T) {
+	dir := t.TempDir()
+	c := stallCompaction(t, dir)
+	if err := c.s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if opened := c.reg.Hits()["open:"+walFile]; opened != 2 {
+		t.Fatalf("Close returned before the compaction reached its swap (%d WAL reopens, want 2)", opened)
+	}
+	c.finish(t)
+
+	s := openDisk(t, dir, Config{RetainVersions: 2})
+	defer s.Close()
+	got, err := s.Versions(c.r.meta.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[len(got)-1].Version != c.tip {
+		t.Fatalf("reopened window %+v, want it to end at the acknowledged version %d", got, c.tip)
 	}
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/graph"
@@ -19,17 +20,22 @@ func runConformance(t *testing.T, open func(t *testing.T, cfg Config) Store, reo
 	t.Run("LRUEviction", func(t *testing.T) { testLRUEviction(t, open(t, Config{MaxGraphs: 2})) })
 	t.Run("AppendLineage", func(t *testing.T) { testAppendLineage(t, open(t, Config{})) })
 	t.Run("VersionWindow", func(t *testing.T) {
-		testVersionWindow(t, open(t, Config{RetainVersions: 3, SyncCompaction: true}), reopen)
+		testVersionWindow(t, open(t, Config{RetainVersions: 3}), reopen)
 	})
 	t.Run("DeltaAndMaterialize", func(t *testing.T) { testDeltaAndMaterialize(t, open(t, Config{})) })
 	t.Run("Evict", func(t *testing.T) { testEvict(t, open(t, Config{})) })
 	t.Run("Tail", func(t *testing.T) { testTail(t, open(t, Config{})) })
 	t.Run("TailWindow", func(t *testing.T) {
-		testTailWindow(t, open(t, Config{RetainVersions: 3, SyncCompaction: true}), reopen)
+		testTailWindow(t, open(t, Config{RetainVersions: 3}), reopen)
 	})
 	t.Run("Edgeless", func(t *testing.T) {
-		testEdgeless(t, open(t, Config{RetainVersions: 3, SyncCompaction: true}), reopen)
+		testEdgeless(t, open(t, Config{RetainVersions: 3}), reopen)
 	})
+	for _, retain := range []int{3, 65} {
+		t.Run(fmt.Sprintf("BoundedRecord/retain=%d", retain), func(t *testing.T) {
+			testBoundedRecord(t, open(t, Config{RetainVersions: retain}), retain, reopen)
+		})
+	}
 }
 
 func TestMemoryConformance(t *testing.T) {
@@ -79,7 +85,7 @@ func line(n int) *graph.Graph {
 
 // putGraph stores a path graph under a deterministic identity and
 // returns its meta.
-func putGraph(t *testing.T, s Store, n int) Meta {
+func putGraph(t testing.TB, s Store, n int) Meta {
 	t.Helper()
 	g := line(n)
 	digest := DigestGraph(g)
@@ -92,7 +98,7 @@ func putGraph(t *testing.T, s Store, n int) Meta {
 }
 
 // appendBatch chains one batch onto the graph's latest version.
-func appendBatch(t *testing.T, s Store, id string, batch []graph.Edge) Version {
+func appendBatch(t testing.TB, s Store, id string, batch []graph.Edge) Version {
 	t.Helper()
 	vers, err := s.Versions(id)
 	if err != nil {
@@ -110,6 +116,25 @@ func appendBatch(t *testing.T, s Store, id string, batch []graph.Edge) Version {
 		t.Fatal(err)
 	}
 	return v
+}
+
+// heldRecord returns the record a backend holds for id.
+func heldRecord(t testing.TB, s Store, id string) *record {
+	t.Helper()
+	var rs *records
+	switch s := s.(type) {
+	case *Memory:
+		rs = &s.records
+	case *Disk:
+		rs = &s.records
+	}
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	r, ok := rs.t.recs[id]
+	if !ok {
+		t.Fatalf("no record for %s", id)
+	}
+	return r
 }
 
 // materialize builds the CSR of one retained version from its View,
@@ -199,10 +224,10 @@ func testAppendLineage(t *testing.T, s Store) {
 }
 
 // testVersionWindow pins retention as the window alone: five appends at
-// RetainVersions=3 retire versions 0..2 — on the disk backend before
-// any compaction, so its WAL still holds the retired batches — and a
-// retired version is ErrNotFound on every read path, before and after
-// a reopen, while every retained version materializes with its
+// RetainVersions=3 retire versions 0..2 — before any compaction, so the
+// record (and the disk backend's WAL) still holds the retired batches —
+// and a retired version is ErrNotFound on every read path, before and
+// after a reopen, while every retained version materializes with its
 // recorded shape.
 func testVersionWindow(t *testing.T, s Store, reopen func(t *testing.T, s Store) Store) {
 	m := putGraph(t, s, 6)
@@ -391,9 +416,9 @@ func testTail(t *testing.T, s Store) {
 // out of the retained window, tailing from it is ErrNotFound — the
 // catch-up data is gone and the replica must re-bootstrap — while
 // tailing from inside the window still works. Five appends at
-// RetainVersions=3 stop short of the disk backend's compaction, so the
-// retired batches are still in its WAL; the answers must not change
-// across a reopen that replays them.
+// RetainVersions=3 stop short of a compaction, so the retired batches
+// are still in the record and the disk backend's WAL; the answers must
+// not change across a reopen that replays them.
 func testTailWindow(t *testing.T, s Store, reopen func(t *testing.T, s Store) Store) {
 	m := putGraph(t, s, 5)
 	for i := 0; i < 5; i++ {
@@ -432,7 +457,7 @@ func testTailWindow(t *testing.T, s Store, reopen func(t *testing.T, s Store) St
 
 // testEdgeless runs an edgeless graph (n=5, m=0) through the whole
 // record life: Put, reopen, a vertex-growing append, appends to twice
-// the retained window (compaction on the disk backend), and a second
+// the retained window (a compaction), and a second
 // reopen. Every version must come back with the right shape and the
 // digest of an independently built graph.
 func testEdgeless(t *testing.T, s Store, reopen func(t *testing.T, s Store) Store) {
@@ -499,4 +524,85 @@ func testEdgeless(t *testing.T, s Store, reopen func(t *testing.T, s Store) Stor
 	check("appended", prev.Version, want)
 	s = reopen(t, s)
 	check("reopen after compaction", prev.Version, want)
+}
+
+// testBoundedRecord pins the one compaction policy on every backend:
+// over 10×retain appends, the record never holds more than 2×retain
+// batches, and its appended edges are exactly those batches' edges.
+// Every retained version's view digests as the graph the test builds
+// on its own from the base and the batches, checked right before each
+// append that rebases the snapshot, right after it, and after a reopen.
+func testBoundedRecord(t *testing.T, s Store, retain int, reopen func(t *testing.T, s Store) Store) {
+	const n = 16
+	m := putGraph(t, s, n)
+	rng := rand.New(rand.NewPCG(uint64(retain), 31))
+	var batches [][]graph.Edge // batches[i] makes version i+1
+	want := func(version int) *graph.Graph {
+		b := graph.NewBuilder(n)
+		for i := 0; i < n-1; i++ {
+			b.AddEdge(graph.Vertex(i), graph.Vertex(i+1))
+		}
+		for _, batch := range batches[:version] {
+			for _, e := range batch {
+				b.AddEdge(e.U, e.V)
+			}
+		}
+		return b.Build()
+	}
+	checkWindow := func(label string) {
+		t.Helper()
+		vers, err := s.Versions(m.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ver := range vers {
+			v, release, err := s.View(m.ID, ver.Version)
+			if err != nil {
+				t.Fatalf("%s: View(%d): %v", label, ver.Version, err)
+			}
+			got, wantD := DigestView(v), DigestGraph(want(ver.Version))
+			release()
+			if got != wantD {
+				t.Fatalf("%s: version %d: view digest %s, want %s", label, ver.Version, got[:12], wantD[:12])
+			}
+		}
+	}
+	rebases := 0
+	for i := 0; i < 10*retain; i++ {
+		r := heldRecord(t, s, m.ID)
+		r.mu.Lock()
+		snap, due := r.snapVer.Version, len(r.batches)+2 > 2*retain
+		r.mu.Unlock()
+		if due {
+			checkWindow(fmt.Sprintf("before append %d", i+1))
+		}
+		batch := make([]graph.Edge, 1+rng.IntN(3))
+		for j := range batch {
+			batch[j] = graph.Edge{U: graph.Vertex(rng.IntN(n)), V: graph.Vertex(rng.IntN(n))}
+		}
+		batches = append(batches, batch)
+		appendBatch(t, s, m.ID, batch)
+		r.mu.Lock()
+		held, heldEdges, rebased := len(r.batches), len(r.appended), r.snapVer.Version != snap
+		edges := 0
+		for _, b := range r.batches {
+			edges += len(batches[b.v.Version-1])
+		}
+		r.mu.Unlock()
+		if held > 2*retain {
+			t.Fatalf("after append %d the record holds %d batches, want at most %d", i+1, held, 2*retain)
+		}
+		if heldEdges != edges {
+			t.Fatalf("after append %d the record holds %d appended edges, its %d batches have %d", i+1, heldEdges, held, edges)
+		}
+		if rebased {
+			rebases++
+			checkWindow(fmt.Sprintf("after append %d", i+1))
+		}
+	}
+	if rebases == 0 {
+		t.Fatalf("%d appends never rebased the snapshot", 10*retain)
+	}
+	s = reopen(t, s)
+	checkWindow("reopened")
 }

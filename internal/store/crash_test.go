@@ -18,8 +18,8 @@ import (
 // to a prefix of the reference lineage — the pre-batch or post-batch
 // state of whichever append was in flight, never a third thing.
 //
-// The workload is sized to compact twice (RetainVersions=3, ten appends,
-// SyncCompaction: compactions at appends 6 and 10), so the sweep covers
+// The workload is sized to compact twice (RetainVersions=3, ten appends:
+// compactions inside appends 6 and 10), so the sweep covers
 // both compaction renames and the snapshot rewrite — including a fold
 // onto an already rebased snapshot — not just the WAL append path.
 
@@ -89,7 +89,7 @@ func sweepID() string {
 
 // sweepConfig builds the sweep's store config.
 func sweepConfig(fs fault.FS) Config {
-	return Config{RetainVersions: 3, SyncCompaction: true, FS: fs}
+	return Config{RetainVersions: 3, FS: fs}
 }
 
 // runCrashScenario executes the workload on dir through fs, stopping at

@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -67,10 +66,9 @@ type snapMeta struct {
 }
 
 // Disk is the durable Store: per-graph snapshot + WAL under one data
-// directory, with LRU eviction deleting graph directories and a
-// compaction worker that, once a graph's WAL holds a full extra window
-// of batches retired from the retained version window, folds them into
-// a fresh snapshot — one snapshot rewrite per RetainVersions appends.
+// directory, with LRU eviction deleting graph directories. Its fold
+// writes a compaction's new snapshot as a fresh WCCM1 file and rewrites
+// the WAL after it (see records.compact).
 type Disk struct {
 	records
 	dir string
@@ -83,10 +81,6 @@ type Disk struct {
 	// seq and closed are guarded by records.mu.
 	seq    int64
 	closed bool
-
-	compactCh chan string
-	done      chan struct{}
-	wg        sync.WaitGroup
 }
 
 // Open loads (or creates) a disk store rooted at dir, verifying every
@@ -95,12 +89,7 @@ type Disk struct {
 // mismatch is a hard error — the store refuses to serve state it
 // cannot vouch for.
 func Open(dir string, cfg Config) (*Disk, error) {
-	s := &Disk{
-		records:   newRecords(cfg),
-		dir:       dir,
-		compactCh: make(chan string, 64),
-		done:      make(chan struct{}),
-	}
+	s := &Disk{records: newRecords(cfg), dir: dir}
 	s.fs = s.cfg.FS
 	if err := s.fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -138,13 +127,11 @@ func Open(dir string, cfg Config) (*Disk, error) {
 	for _, rec := range recs {
 		s.t.insert(rec)
 	}
-	s.wg.Add(1)
-	go s.compactor()
 	// A WAL already past the compaction trigger (e.g. killed before a
 	// pending compaction) is folded now; one that only holds retired
 	// batches below it is left as is — the window hides them.
 	for _, rec := range recs {
-		s.maybeCompact(rec.meta.ID, rec)
+		s.compact(rec, s.fold)
 	}
 	return s, nil
 }
@@ -222,11 +209,21 @@ func (s *Disk) loadMappedSnapshot(gdir, id string) (*record, error) {
 	return &record{meta: sm.Meta, seq: sm.Seq, snapVer: sm.Ver, mapped: newMappedHandle(m, mg)}, nil
 }
 
-// openMapped maps a snapshot file this process just wrote and wraps it
-// in a refcounted handle. No metadata re-verification: the bytes were
+// writeSnapshot streams v into path as a WCCM1 file carrying meta
+// (through writeAtomic), then maps the file and wraps the mapping in a
+// refcounted handle. No metadata re-verification: the bytes were
 // produced moments ago by MappedWriter (OpenMappedSource still checks
 // the digests, which doubles as an end-to-end write check).
-func (s *Disk) openMapped(path string) (*mappedHandle, error) {
+func (s *Disk) writeSnapshot(path string, meta snapMeta, v graph.View) (*mappedHandle, error) {
+	raw, err := json.Marshal(meta)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.writeAtomic(path, func(w io.Writer) error {
+		return graph.WriteMappedView(w, v, raw)
+	}); err != nil {
+		return nil, err
+	}
 	m, err := s.fs.Map(path)
 	if err != nil {
 		return nil, err
@@ -391,17 +388,8 @@ func (s *Disk) Put(meta Meta, base graph.View, v0 Version) ([]string, error) {
 	s.seq++
 	// Stream the WCCM1 snapshot, then serve off its mapping — the
 	// caller's base is not retained.
-	metaRaw, err := json.Marshal(snapMeta{Meta: meta, Seq: rec.seq, Ver: v0})
-	if err != nil {
-		return nil, err
-	}
-	mpath := filepath.Join(gdir, mapFile)
-	if err := s.writeAtomic(mpath, func(w io.Writer) error {
-		return graph.WriteMappedView(w, base, base.NumVertices(), nil, metaRaw)
-	}); err != nil {
-		return nil, err
-	}
-	if rec.mapped, err = s.openMapped(mpath); err != nil {
+	var err error
+	if rec.mapped, err = s.writeSnapshot(filepath.Join(gdir, mapFile), snapMeta{Meta: meta, Seq: rec.seq, Ver: v0}, base); err != nil {
 		return nil, err
 	}
 	// From here on a failure must drop the mapping the record just took.
@@ -458,8 +446,9 @@ func (s *Disk) Append(id string, batch []graph.Edge, v Version) error {
 	}
 	ws.size += int64(len(data))
 	r.appendLocked(batch, v)
+	// compact takes r.mu itself, and the store mutex inside it.
 	r.mu.Unlock()
-	s.maybeCompact(id, r)
+	s.compact(r, s.fold)
 	return nil
 }
 
@@ -492,101 +481,30 @@ func (s *Disk) appendFailed(id string, r *record, err error) error {
 	return err
 }
 
-// maybeCompact schedules (or, with SyncCompaction, runs) a compaction
-// once the graph's WAL holds a full extra window of retired batches —
-// the snapshot plus its batches span more than 2×RetainVersions
-// versions. A compaction rewrites the whole snapshot, so waiting for a
-// full window pays for it once per RetainVersions appends, while the
-// record, the WAL replay and every overlay stay bounded by
-// 2×RetainVersions batches. Retired batches are unreadable either way:
-// retention is the window, not the compaction.
-func (s *Disk) maybeCompact(id string, r *record) {
-	r.mu.Lock()
-	over := len(r.batches)+1 > 2*s.cfg.RetainVersions
-	r.mu.Unlock()
-	if !over {
-		return
-	}
-	if s.cfg.SyncCompaction {
-		s.logCompact(id)
-		return
-	}
-	select {
-	case s.compactCh <- id:
-	default: // worker busy and queue full; the next append re-triggers
-	}
-}
-
-// logCompact runs one compaction and reports failures: the files stay
-// valid on error, but the operator must hear about a WAL that cannot
-// shrink.
-func (s *Disk) logCompact(id string) {
-	if err := s.compact(id); err != nil {
-		log.Printf("store: compact %s: %v", id, err)
-	}
-}
-
-func (s *Disk) compactor() {
-	defer s.wg.Done()
-	for {
-		select {
-		case id := <-s.compactCh:
-			s.logCompact(id)
-		case <-s.done:
-			return
-		}
-	}
-}
-
-// compact folds every WAL batch older than the retained window into a
-// fresh snapshot at the window's oldest version, then rewrites the WAL
-// with only the remaining batches. Runs under the record lock: appends
-// to this graph stall for one streamed snapshot write + one WAL
-// rewrite, other graphs are unaffected. Crash-safe: the snapshot lands
-// first and its rename is made durable (old WAL records it already
-// covers are skipped on open by their version), the WAL rename second.
-// A failure leaves the pre-compaction files fully valid — the error is
-// reported so a persistently failing compaction (ENOSPC) is visible
-// instead of a silently growing WAL.
-func (s *Disk) compact(id string) error {
-	s.mu.Lock()
-	r, ok := s.t.recs[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil // evicted while queued
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w := r.window(s.cfg.RetainVersions)
-	target := w[0]
-	if target.Version == r.snapVer.Version {
-		return nil
-	}
-	// Pin the base for the whole compaction: a concurrent eviction may
-	// drop the store's reference on the mapping mid-stream, and these
-	// scans must keep their pages until done.
-	base, unpin, ok := r.pinBase()
-	if !ok {
-		return nil // evicted; nothing left to compact
-	}
-	defer unpin()
-	gdir := filepath.Join(s.dir, id)
-	targetOff, err := r.offOf(target.Version, s.cfg.RetainVersions)
-	if err != nil {
-		return err
-	}
-	// Stream base ∪ pre-window batches straight into a new WCCM1 file —
-	// the compaction never materializes the graph, so folding a snapshot
-	// larger than RAM stays O(n+delta).
-	metaRaw, err := json.Marshal(snapMeta{Meta: r.meta, Seq: r.seq, Ver: target})
-	if err != nil {
-		return fmt.Errorf("encode snapshot meta: %w", err)
-	}
+// fold is the disk backend's half of records.compact. It streams v,
+// the view of target (the mapped snapshot with the retired batches
+// overlaid), into a fresh WCCM1 snapshot, never materializing the graph,
+// so folding a snapshot larger than RAM stays O(n+delta). Then it
+// rewrites the WAL with only the batches after target. Callers hold
+// r.mu: appends to this graph stall for one snapshot write and one WAL
+// rewrite, and other graphs are unaffected. Crash-safe: the snapshot
+// lands first and its rename is made durable (old WAL records it
+// already covers are skipped on open by their version), the WAL rename
+// second. A failure leaves the pre-compaction files fully valid, and
+// the error is reported so that a persistently failing compaction
+// (ENOSPC) is visible instead of a silently growing WAL.
+func (s *Disk) fold(r *record, target Version, v graph.View) error {
+	gdir := filepath.Join(s.dir, r.meta.ID)
 	mpath := filepath.Join(gdir, mapFile)
-	if err := s.writeAtomic(mpath, func(w io.Writer) error {
-		return graph.WriteMappedView(w, base, target.N, r.appended[:targetOff], metaRaw)
-	}); err != nil {
-		return fmt.Errorf("write snapshot: %w", err)
+	newHandle, err := s.writeSnapshot(mpath, snapMeta{Meta: r.meta, Seq: r.seq, Ver: target}, v)
+	if err != nil {
+		return fmt.Errorf("snapshot: %w", err)
+	}
+	// A failure past this point keeps the old record state; the freshly
+	// mapped handle must not leak.
+	fail := func(err error) error {
+		newHandle.release()
+		return err
 	}
 	// The snapshot rename must be durable before the WAL rename: a power
 	// loss that kept only the second would leave the old snapshot beside
@@ -595,32 +513,20 @@ func (s *Disk) compact(id string) error {
 	// snapshot recovers with (its covered records are skipped by
 	// version), and the in-memory record is not swapped.
 	if err := s.fs.SyncDir(gdir); err != nil {
-		return fmt.Errorf("sync snapshot rename: %w", err)
-	}
-	newHandle, err := s.openMapped(mpath)
-	if err != nil {
-		return fmt.Errorf("map snapshot: %w", err)
-	}
-	// A failure past this point keeps the old record state; the freshly
-	// mapped handle must not leak.
-	fail := func(err error) error {
-		newHandle.release()
-		return err
+		return fail(fmt.Errorf("sync snapshot rename: %w", err))
 	}
 	// Rewrite the WAL with the batches the new snapshot does not cover.
+	tail, err := r.tailLocked(target.Version, s.cfg.RetainVersions)
+	if err != nil {
+		return fail(err)
+	}
 	walData := []byte(walMagic)
-	var kept []batchMeta
-	prevOff := 0
-	for _, b := range r.batches {
-		if b.v.Version > target.Version {
-			recData, err := EncodeRecord(b.v, r.appended[prevOff:b.off])
-			if err != nil {
-				return fail(fmt.Errorf("encode wal record %d: %w", b.v.Version, err))
-			}
-			walData = append(walData, recData...)
-			kept = append(kept, batchMeta{v: b.v, off: b.off - targetOff})
+	for _, b := range tail {
+		rec, err := EncodeRecord(b.Info, b.Edges)
+		if err != nil {
+			return fail(fmt.Errorf("encode wal record %d: %w", b.Info.Version, err))
 		}
-		prevOff = b.off
+		walData = append(walData, rec...)
 	}
 	if err := s.writeAtomic(filepath.Join(gdir, walFile), func(w io.Writer) error {
 		_, err := w.Write(walData)
@@ -633,20 +539,18 @@ func (s *Disk) compact(id string) error {
 	if err != nil {
 		return fail(fmt.Errorf("reopen wal: %w", err))
 	}
-	// Swap in-memory state, the WAL handle and the mapping under both
-	// locks (record's lock rule). The old appended array stays untouched
-	// so Delta slices handed out before the compaction remain valid, and
-	// the old mapping is only unmapped once every view pinned on it has
-	// released.
+	// Swap the WAL handle and the mapping under both locks (record's
+	// lock rule). The old mapping is only unmapped once every view
+	// pinned on it has released.
 	s.mu.Lock()
-	if s.t.recs[id] != r {
+	if s.t.recs[r.meta.ID] != r {
 		s.mu.Unlock()
 		// Evicted mid-compaction (or the store closed): that already
 		// closed the old WAL and released the record's reference on the
 		// old mapping; the fresh WAL handle and mapping are orphans.
 		newWal.Close()
 		newHandle.release()
-		return nil
+		return fmt.Errorf("%w: graph %s evicted during compaction", ErrNotFound, r.meta.ID)
 	}
 	oldWal, oldHandle := r.wal, r.mapped
 	r.wal = &walState{f: newWal, size: int64(len(walData))}
@@ -654,9 +558,6 @@ func (s *Disk) compact(id string) error {
 	s.mu.Unlock()
 	oldWal.f.Close()
 	oldHandle.release()
-	r.snapVer = target
-	r.appended = append([]graph.Edge(nil), r.appended[targetOff:]...)
-	r.batches = kept
 	return nil
 }
 
@@ -725,10 +626,11 @@ func (s *Disk) Probe() error {
 	return nil
 }
 
-// Close stops the compaction worker, closes every WAL handle, releases
-// the store's reference on every mapping, and drops every record: a
-// closed store holds no graphs. All acknowledged appends are already
-// fsync'd, so Close loses nothing.
+// Close closes every WAL handle, releases the store's reference on
+// every mapping, and drops every record: a closed store holds no
+// graphs. A compaction in flight finds its record gone when it comes to
+// swap, and Close returns only after it has let go of its record. All
+// acknowledged appends are already fsync'd, so Close loses nothing.
 func (s *Disk) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -736,18 +638,20 @@ func (s *Disk) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.mu.Unlock()
-	close(s.done)
-	s.wg.Wait()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	recs := s.t.recs
+	s.t = newTable()
 	var firstErr error
-	for _, r := range s.t.recs {
+	for _, r := range recs {
 		if err := r.wal.f.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		r.mapped.release()
 	}
-	s.t = newTable()
+	s.mu.Unlock()
+	for _, r := range recs {
+		//lint:ignore SA2001 the empty section waits out a compaction in flight
+		r.mu.Lock()
+		r.mu.Unlock()
+	}
 	return firstErr
 }

@@ -2,17 +2,17 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand/v2"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/graph"
 )
 
-func openDisk(t *testing.T, dir string, cfg Config) *Disk {
+func openDisk(t testing.TB, dir string, cfg Config) *Disk {
 	t.Helper()
 	s, err := Open(dir, cfg)
 	if err != nil {
@@ -241,7 +241,7 @@ func TestDiskChainBreak(t *testing.T) {
 // identical retained lineage.
 func TestDiskCompactionPersists(t *testing.T) {
 	dir := t.TempDir()
-	s := openDisk(t, dir, Config{RetainVersions: 3, SyncCompaction: true})
+	s := openDisk(t, dir, Config{RetainVersions: 3})
 	m := putGraph(t, s, 8)
 	for i := 0; i < 6; i++ {
 		appendBatch(t, s, m.ID, []graph.Edge{{U: graph.Vertex(i), V: graph.Vertex(i + 2)}})
@@ -262,7 +262,7 @@ func TestDiskCompactionPersists(t *testing.T) {
 		t.Error("snapshot metadata does not carry the compacted version")
 	}
 
-	s2 := openDisk(t, dir, Config{RetainVersions: 3, SyncCompaction: true})
+	s2 := openDisk(t, dir, Config{RetainVersions: 3})
 	defer s2.Close()
 	gotVers, err := s2.Versions(m.ID)
 	if err != nil {
@@ -282,41 +282,6 @@ func TestDiskCompactionPersists(t *testing.T) {
 	}
 	if g.M() != wantVers[len(wantVers)-1].M {
 		t.Errorf("compacted+reopened materialization m=%d, want %d", g.M(), wantVers[len(wantVers)-1].M)
-	}
-}
-
-// TestDiskBackgroundCompaction drives the asynchronous path: the worker
-// eventually folds the WAL without SyncCompaction.
-func TestDiskBackgroundCompaction(t *testing.T) {
-	dir := t.TempDir()
-	s := openDisk(t, dir, Config{RetainVersions: 2})
-	defer s.Close()
-	m := putGraph(t, s, 6)
-	for i := 0; i < 4; i++ {
-		appendBatch(t, s, m.ID, []graph.Edge{{U: graph.Vertex(i), V: graph.Vertex(i + 1)}})
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.mu.Lock()
-		rec := s.t.recs[m.ID]
-		s.mu.Unlock()
-		rec.mu.Lock()
-		snapVer := rec.snapVer.Version
-		rec.mu.Unlock()
-		if snapVer > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background compaction never rebased the snapshot")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	vers, err := s.Versions(m.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := vers[len(vers)-1].Version; got != 4 {
-		t.Errorf("latest version %d after compaction, want 4", got)
 	}
 }
 
@@ -460,4 +425,57 @@ func BenchmarkDiskOpen(b *testing.B) {
 		s.Close()
 	}
 	b.ReportMetric(float64(m)*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
+}
+
+// BenchmarkTipView times a View of the latest version, and its release,
+// on both backends after 65 and after 2000 appends of 256-edge batches
+// to a 1000-vertex path at the default window (RetainVersions 65). The
+// tip is an Overlay of the batches the record holds over its snapshot,
+// so its time and B/op follow the record's held edges ("held-edges"),
+// and all three must stay flat in the append count. It fails if the
+// record holds more than 2×RetainVersions batches of edges.
+func BenchmarkTipView(b *testing.B) {
+	const n, batchLen, retain = 1000, 256, 65
+	backends := []struct {
+		name string
+		open func(b *testing.B) Store
+	}{
+		{"memory", func(b *testing.B) Store { return NewMemory(Config{}) }},
+		{"disk", func(b *testing.B) Store { return openDisk(b, b.TempDir(), Config{}) }},
+	}
+	for _, be := range backends {
+		for _, appends := range []int{65, 2000} {
+			b.Run(fmt.Sprintf("%s/appends=%d", be.name, appends), func(b *testing.B) {
+				s := be.open(b)
+				defer s.Close()
+				m := putGraph(b, s, n)
+				rng := rand.New(rand.NewPCG(uint64(appends), 7))
+				var tip Version
+				for i := 0; i < appends; i++ {
+					batch := make([]graph.Edge, batchLen)
+					for j := range batch {
+						batch[j] = graph.Edge{U: graph.Vertex(rng.IntN(n)), V: graph.Vertex(rng.IntN(n))}
+					}
+					tip = appendBatch(b, s, m.ID, batch)
+				}
+				r := heldRecord(b, s, m.ID)
+				r.mu.Lock()
+				held := len(r.appended)
+				r.mu.Unlock()
+				if held > 2*retain*batchLen {
+					b.Fatalf("the record holds %d appended edges after %d appends, want at most %d", held, appends, 2*retain*batchLen)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_, release, err := s.View(m.ID, tip.Version)
+					if err != nil {
+						b.Fatal(err)
+					}
+					release()
+				}
+				b.ReportMetric(float64(held), "held-edges")
+			})
+		}
+	}
 }

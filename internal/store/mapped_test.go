@@ -23,7 +23,7 @@ func TestDiskConformanceMapped(t *testing.T) {
 
 func openMappedDisk(t *testing.T, dir string) *Disk {
 	t.Helper()
-	return openDisk(t, dir, Config{RetainVersions: 3, SyncCompaction: true})
+	return openDisk(t, dir, Config{RetainVersions: 3})
 }
 
 // TestDiskMappedSnapshotLifecycle walks the whole snapshot life: Put
@@ -156,10 +156,10 @@ func TestStoreViewMatchesMaterialize(t *testing.T) {
 			return s
 		}, func(t *testing.T, s Store) Store { return s }},
 		"disk-mapped": {func(t *testing.T) Store {
-			return openDiskCleanup(t, t.TempDir(), Config{RetainVersions: retain, SyncCompaction: true})
+			return openDiskCleanup(t, t.TempDir(), Config{RetainVersions: retain})
 		}, reopenDisk},
 		"disk-pread": {func(t *testing.T) Store {
-			return openDiskCleanup(t, t.TempDir(), Config{RetainVersions: retain, SyncCompaction: true, FS: fault.OS{NoMmap: true}})
+			return openDiskCleanup(t, t.TempDir(), Config{RetainVersions: retain, FS: fault.OS{NoMmap: true}})
 		}, reopenDisk},
 	}
 	// Each batch with the vertex count of the version it makes.
@@ -242,13 +242,12 @@ func TestStoreViewMatchesMaterialize(t *testing.T) {
 			if vers[0].Version != len(batches)-retain+1 {
 				t.Fatalf("window starts at version %d, want %d", vers[0].Version, len(batches)-retain+1)
 			}
-			if d, ok := s.(*Disk); ok {
-				d.mu.Lock()
-				snap := d.t.recs[m.ID].snapVer.Version
-				d.mu.Unlock()
-				if snap == 0 {
-					t.Fatal("no compaction rebased the snapshot")
-				}
+			r := heldRecord(t, s, m.ID)
+			r.mu.Lock()
+			snap := r.snapVer.Version
+			r.mu.Unlock()
+			if snap == 0 {
+				t.Fatal("no compaction rebased the snapshot")
 			}
 			s = be.reopen(t, s)
 			check("reopened")

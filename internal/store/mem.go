@@ -7,7 +7,9 @@ import (
 )
 
 // Memory is the in-process Store: the pre-durability behavior of the
-// service, now behind the interface. Nothing survives a restart.
+// service, now behind the interface. Nothing survives a restart. Each
+// graph is a resident CSR snapshot plus the batches appended after it,
+// compacted on the same cadence as the disk backend.
 type Memory struct {
 	records
 }
@@ -31,22 +33,25 @@ func (s *Memory) Put(meta Meta, base graph.View, v0 Version) ([]string, error) {
 	return evicted, nil
 }
 
-// Append records the batch in memory only. Batch metadata older than
-// the retained window can never be resolved again, so it is dropped and
-// lineage bookkeeping stays O(window). The appended edges themselves
-// are kept: the base never rebases, so every retained version is an
-// overlay of a prefix of them on it.
+// Append records the batch in memory only, then runs a due compaction
+// (records.compact): the snapshot is replaced by a CSR of the window's
+// oldest version, so the record holds at most 2×RetainVersions batches.
 func (s *Memory) Append(id string, batch []graph.Edge, v Version) error {
 	r, err := s.rec(id)
 	if err != nil {
 		return err
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.appendLocked(batch, v)
-	if extra := len(r.batches) - s.cfg.RetainVersions; extra > 0 {
-		r.batches = append(r.batches[:0:0], r.batches[extra:]...)
-	}
+	r.mu.Unlock()
+	s.compact(r, materializeSnap)
+	return nil
+}
+
+// materializeSnap is the memory backend's fold: the view of the target
+// version becomes the record's resident CSR.
+func materializeSnap(r *record, _ Version, v graph.View) error {
+	r.snap = graph.MaterializeView(v)
 	return nil
 }
 

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -11,11 +13,11 @@ import (
 )
 
 // record is the in-memory state both backends keep per graph: the
-// snapshot graph (the base at first; the durable backend rebases it on
-// compaction), the edges appended after it, and the lineage metadata of
-// every batch still layered on top of the snapshot. A record's own
-// mutex guards all mutable fields; the store-level mutex guards the
-// id→record table and the LRU bookkeeping.
+// snapshot graph (the base at first; compaction rebases it), the edges
+// appended after it, and the lineage metadata of every batch still
+// layered on top of the snapshot. A record's own mutex guards all
+// mutable fields; the store-level mutex guards the id→record table and
+// the LRU bookkeeping.
 //
 // Lock rule for the disk backend's wal and mapped: they are written
 // only while holding both the store mutex and r.mu (a compaction takes
@@ -239,6 +241,23 @@ func (r *record) appendLocked(batch []graph.Edge, v Version) {
 	r.batches = append(r.batches, batchMeta{v: v, off: len(r.appended)})
 }
 
+// rebaseLocked makes target, the version of one of the record's
+// batches, its snapshot version: that batch and every older one leave
+// the record, and the newer ones are re-offset onto a copy of the edges
+// appended after target. The old appended array is left as it is, so
+// slices handed out before the rebase stay valid. Callers hold r.mu.
+func (r *record) rebaseLocked(target Version) {
+	i := slices.IndexFunc(r.batches, func(b batchMeta) bool { return b.v.Version == target.Version })
+	off := r.batches[i].off
+	kept := make([]batchMeta, 0, len(r.batches)-i-1)
+	for _, b := range r.batches[i+1:] {
+		kept = append(kept, batchMeta{v: b.v, off: b.off - off})
+	}
+	r.snapVer = target
+	r.appended = append([]graph.Edge(nil), r.appended[off:]...)
+	r.batches = kept
+}
+
 // table is the id→record bookkeeping both backends share: insertion
 // order for List, a monotone access tick for LRU eviction.
 type table struct {
@@ -388,6 +407,45 @@ func (s *records) Tail(id string, from int) ([]BatchRecord, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.tailLocked(from, s.cfg.RetainVersions)
+}
+
+// compact is the one compaction path of both backends. Once the
+// record's snapshot and batches span more than 2×RetainVersions
+// versions, it folds every batch older than the retained window into a
+// new snapshot at the window's oldest version, then rebases the record
+// onto it. A retired batch can never be read again either way
+// (retention is the window, not the compaction), so waiting for a full
+// extra window pays for one snapshot rewrite per RetainVersions
+// appends, while the record and every overlay stay bounded by
+// 2×RetainVersions batches.
+//
+// fold is the backend's half. Under r.mu, it makes v, the view of the
+// target version, the record's snapshot: a resident CSR (Memory), or a
+// fresh WCCM1 file with the WAL rewritten after it (Disk). Append runs
+// compact after every batch, and Disk's Open for every graph it loads. A
+// failed fold leaves the record as it was and is only logged; the next
+// append retries it. A fold that finds its record evicted returns
+// ErrNotFound, and the record is left as it was.
+func (s *records) compact(r *record, fold func(r *record, target Version, v graph.View) error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	retain := s.cfg.RetainVersions
+	if len(r.batches)+1 <= 2*retain {
+		return
+	}
+	target := r.window(retain)[0]
+	v, release, err := r.viewLocked(target.Version, retain)
+	if err == nil {
+		err = fold(r, target, v)
+		release()
+	}
+	if err != nil {
+		if !errors.Is(err, ErrNotFound) {
+			log.Printf("store: compact %s: %v", r.meta.ID, err)
+		}
+		return
+	}
+	r.rebaseLocked(target)
 }
 
 func (s *records) View(id string, version int) (graph.View, func(), error) {

@@ -7,18 +7,20 @@
 // Memory (NewMemory) is the original in-process map: nothing survives a
 // restart. Disk (Open) is durable: each graph keeps a WCCM1 snapshot
 // file, served straight off its mapping, plus an fsync'd append-only
-// write-ahead log of edge batches, both digest-verified on open, with
-// compaction folding retired WAL batches into a fresh snapshot once a
-// full extra retained window of them has piled up. A wccserve restarted
-// on the same data directory rebuilds the exact graphs, versions, and
-// digests it served before the kill.
+// write-ahead log of edge batches, both digest-verified on open. A
+// wccserve restarted on the same data directory rebuilds the exact
+// graphs, versions, and digests it served before the kill.
 //
 // Both backends share the same semantics, enforced by one conformance
 // suite: content-addressed records, LRU eviction by last access under
 // Config.MaxGraphs, a retained version window of Config.RetainVersions
 // entries, and a read-only View of any retained version — the
 // snapshot, or an Overlay of the appended batches on it. Both also
-// share one record table and one implementation of every read method.
+// share one record table, one implementation of every read method, and
+// one compaction path: once a graph's batches span a full extra window,
+// the append that sees it folds the retired ones into a new snapshot
+// before it returns, so each graph holds at most 2×RetainVersions
+// batches on either backend.
 // The service layer (internal/service) holds no graph state of its own
 // — every graph byte it serves flows through this interface.
 package store
@@ -75,17 +77,13 @@ type Config struct {
 	// RetainVersions is the length of the retained version window per
 	// graph (the service passes MaxVersionGap+1). Versions that fall
 	// out of the window can no longer be viewed or used as
-	// fast-forward anchors. It also sets the disk backend's compaction
-	// cadence: once a graph's WAL holds a full extra window of retired
+	// fast-forward anchors. It also sets both backends' compaction
+	// cadence: once a graph holds a full extra window of retired
 	// batches (more than 2×RetainVersions versions in all), they are
 	// folded into the snapshot — one snapshot rewrite per
 	// RetainVersions appends, and at most 2×RetainVersions batches held
 	// per graph. Zero or negative selects 65 (gap 64).
 	RetainVersions int
-	// SyncCompaction makes the disk backend run a due compaction inline
-	// during Append (and Open) instead of on the background goroutine —
-	// deterministic for tests; ignored by the memory backend.
-	SyncCompaction bool
 	// FS is the filesystem seam the disk backend performs every
 	// operation through. Nil selects the real filesystem (fault.OS);
 	// chaos tests and wccserve -fault-spec pass a fault.Inject-wrapped
@@ -125,7 +123,11 @@ type Store interface {
 	Len() int
 	// Append records one edge batch and its version metadata at the
 	// tail of the graph's lineage. The durable backend fsyncs before
-	// returning: an Append that returned nil survives a crash.
+	// returning: an Append that returned nil survives a crash. An
+	// append that brings the graph to the compaction trigger (see
+	// Config.RetainVersions) runs the compaction before it returns; a
+	// failed compaction is logged, never returned, and the next append
+	// retries it.
 	Append(id string, batch []graph.Edge, v Version) error
 	// Versions returns the retained version window, oldest first.
 	Versions(id string) ([]Version, error)
@@ -159,8 +161,8 @@ type Store interface {
 	// degraded read-only mode polls it to decide when mutations are
 	// safe to accept again.
 	Probe() error
-	// Close releases resources; the durable backend stops its
-	// compaction worker and closes its WAL handles.
+	// Close releases resources; the durable backend closes its WAL
+	// handles and waits for a compaction in flight.
 	Close() error
 }
 
